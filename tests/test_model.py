@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,26 @@ def test_checkpoint_roundtrip_bitexact():
         model.forward(**batch).data, clone.forward(**batch).data
     )
     assert serialize_model(clone, extra={"note": 1}) == blob
+
+
+# SHA-256 of the seed-0 checkpoint of each default-width model.  These pin
+# tensor names, tensor order and the rng draw order of initialization, so a
+# refactor of the encoders or layers must leave them unchanged.  Init does
+# no BLAS work, so the bytes do not depend on the BLAS thread count.
+GOLDEN_CHECKPOINT_SHA256 = {
+    ("linear", False): "bd2f242562158b29e339cee36015544d93ae6df59ef7464865034c496df410c6",
+    ("phm", False): "8d88f9fbe5ea7ccf212ba4b61444b340893c86de54102e36ff897f629258c1ab",
+    ("conv", False): "23e028d8652c38273b5311504a22ba5c10c85241847501df5900ad56d68ecdfc",
+    ("phc", False): "4d1d05563bc66be0aab83e0d9c7324afe690d0f0332a84550adddcc4f7774c60",
+    ("phc", True): "be201efad37b5780191eeafb3d406990a14279bd54fc90d3ea1fc72744f2f842",
+}
+
+
+@pytest.mark.parametrize("variant,shared", sorted(GOLDEN_CHECKPOINT_SHA256))
+def test_seed0_checkpoint_bytes_are_golden(variant, shared):
+    cfg = ModelConfig(variant=variant, share_encoder_algebra=shared)
+    blob = serialize_model(H2Model(cfg, seed=0))
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_CHECKPOINT_SHA256[(variant, shared)]
 
 
 def test_checkpoint_magic_and_missing_tensor_errors():
