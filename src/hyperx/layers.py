@@ -36,7 +36,6 @@ __all__ = [
     "Conv1d",
     "BatchNorm1d",
     "Dropout",
-    "param_count",
 ]
 
 
@@ -117,43 +116,63 @@ class HypercomplexWeight:
             return kron_sum(self.a, self.f)
         return kron_sum_taps(self.a, self.f)
 
-    def param_count(self) -> int:
-        return self.a.size + self.f.size
-
 
 def _check_divisible(name: str, value: int, n: int):
     if value % n != 0:
         raise ConfigError(f"{name}={value} is not divisible by n={n}")
 
 
-class PHMLayer:
-    """Hypercomplex multiplication: y = x @ W.T + b with W = sum_i A_i (x) F_i."""
+class _Module:
+    """A layer whose ``params()`` lists its learnable (name, Tensor) pairs."""
 
-    def __init__(self, d_in: int, d_out: int, n: int, rng, bias: bool = True, algebra=None):
-        self.d_in = d_in
-        self.d_out = d_out
-        self.n = n
-        self.weight = HypercomplexWeight.for_phm(d_in, d_out, n, rng, algebra)
-        self.b = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
+    def param_count(self) -> int:
+        """Number of learnable scalars."""
+        return sum(p.size for _, p in self.params())
 
-    def forward(self, x: Tensor) -> Tensor:
-        return linear(x, self.weight.build(), self.b)
+    def __call__(self, *args, **kwargs):
+        return self.forward(*args, **kwargs)
 
-    __call__ = forward
+
+class _WeightLayer(_Module):
+    """A weight plus an optional bias of ``width`` entries.
+
+    Plain layers keep their weight Tensor in ``w``, hypercomplex ones their (A, F) pair in ``weight``.
+    """
+
+    weight = None
+
+    def __init__(self, width: int, bias: bool):
+        self.b = Tensor(np.zeros(width), requires_grad=True) if bias else None
 
     def params(self):
-        out = [("A", self.weight.a), ("F", self.weight.f)]
+        out = [("W", self.w)] if self.weight is None else [("A", self.weight.a), ("F", self.weight.f)]
         if self.b is not None:
             out.append(("b", self.b))
         return out
 
-    def param_count(self) -> int:
-        """n^3 + d_out*d_in/n, plus d_out bias terms."""
-        return self.weight.param_count() + (self.d_out if self.b is not None else 0)
+
+class PHMLayer(_WeightLayer):
+    """Hypercomplex multiplication: y = x @ W.T + b with W = sum_i A_i (x) F_i.
+
+    Holds n^3 + d_out*d_in/n weight scalars, plus d_out bias terms.
+    """
+
+    def __init__(self, d_in: int, d_out: int, n: int, rng, bias: bool = True, algebra=None):
+        super().__init__(d_out, bias)
+        self.d_in = d_in
+        self.d_out = d_out
+        self.n = n
+        self.weight = HypercomplexWeight.for_phm(d_in, d_out, n, rng, algebra)
+
+    def forward(self, x: Tensor) -> Tensor:
+        return linear(x, self.weight.build(), self.b)
 
 
-class PHCLayer:
-    """Hypercomplex 1-D convolution; the Kronecker sum is built per kernel tap."""
+class PHCLayer(_WeightLayer):
+    """Hypercomplex 1-D convolution; the Kronecker sum is built per kernel tap.
+
+    Holds n^3 + c_out*c_in*K/n weight scalars, plus c_out bias terms.
+    """
 
     def __init__(
         self,
@@ -167,6 +186,7 @@ class PHCLayer:
         bias: bool = True,
         algebra=None,
     ):
+        super().__init__(c_out, bias)
         self.c_in = c_in
         self.c_out = c_out
         self.n = n
@@ -174,76 +194,41 @@ class PHCLayer:
         self.stride = stride
         self.padding = padding
         self.weight = HypercomplexWeight.for_phc(c_in, c_out, n, kernel_size, rng, algebra)
-        self.b = Tensor(np.zeros(c_out), requires_grad=True) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
         return conv1d(x, self.weight.build(), self.b, stride=self.stride, padding=self.padding)
 
-    __call__ = forward
 
-    def params(self):
-        out = [("A", self.weight.a), ("F", self.weight.f)]
-        if self.b is not None:
-            out.append(("b", self.b))
-        return out
-
-    def param_count(self) -> int:
-        """n^3 + c_out*c_in*K/n, plus c_out bias terms."""
-        return self.weight.param_count() + (self.c_out if self.b is not None else 0)
-
-
-class Dense:
+class Dense(_WeightLayer):
     """Plain fully-connected layer, the n=1 real counterpart of PHMLayer."""
 
     def __init__(self, d_in: int, d_out: int, rng, bias: bool = True):
+        super().__init__(d_out, bias)
         self.d_in = d_in
         self.d_out = d_out
         self.w = Tensor(he_uniform((d_out, d_in), d_in, rng), requires_grad=True)
-        self.b = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
         return linear(x, self.w, self.b)
 
-    __call__ = forward
 
-    def params(self):
-        out = [("W", self.w)]
-        if self.b is not None:
-            out.append(("b", self.b))
-        return out
-
-    def param_count(self) -> int:
-        return self.w.size + (self.d_out if self.b is not None else 0)
-
-
-class Conv1d:
+class Conv1d(_WeightLayer):
     """Plain 1-D convolution, the n=1 real counterpart of PHCLayer."""
 
     def __init__(self, c_in, c_out, kernel_size, rng, stride=1, padding=0, bias=True):
+        super().__init__(c_out, bias)
         self.c_in = c_in
         self.c_out = c_out
         self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
         self.w = Tensor(he_uniform((c_out, c_in, kernel_size), c_in * kernel_size, rng), requires_grad=True)
-        self.b = Tensor(np.zeros(c_out), requires_grad=True) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
         return conv1d(x, self.w, self.b, stride=self.stride, padding=self.padding)
 
-    __call__ = forward
 
-    def params(self):
-        out = [("W", self.w)]
-        if self.b is not None:
-            out.append(("b", self.b))
-        return out
-
-    def param_count(self) -> int:
-        return self.w.size + (self.c_out if self.b is not None else 0)
-
-
-class BatchNorm1d:
+class BatchNorm1d(_Module):
     """Batch normalization over the channel axis with running statistics."""
 
     def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
@@ -267,16 +252,11 @@ class BatchNorm1d:
             eps=self.eps,
         )
 
-    __call__ = forward
-
     def params(self):
         return [("gamma", self.gamma), ("beta", self.beta)]
 
     def buffers(self):
         return [("running_mean", self.running_mean), ("running_var", self.running_var)]
-
-    def param_count(self) -> int:
-        return 2 * self.channels
 
 
 class Dropout:
@@ -287,8 +267,3 @@ class Dropout:
         return dropout(x, self.p, train, rng)
 
     __call__ = forward
-
-
-def param_count(layer) -> int:
-    """Number of learnable scalars in a layer."""
-    return layer.param_count()

@@ -7,15 +7,18 @@ dimension n equals its signal's channel count (EEG 10, ECG 3, eye 4,
 GSR 1), so the Kronecker block structure of the weights lines up exactly
 with the physical channels and the algebra matrices mix whole channels.
 
-Encoder variants (same widths everywhere, for ablation comparisons):
+Every encoder is one ``_Encoder``: [layer -> BN -> ReLU] stages whose layer
+kind follows the variant (same widths everywhere, for ablation comparisons):
 
-* ``phc``    two hypercomplex conv stages + BN + ReLU, global average pool
-* ``conv``   the same stack with plain real convolutions
-* ``phm``    hypercomplex multiplications on the flattened segment
-* ``linear`` plain dense layers on the flattened segment
+* ``phc``    conv1, conv2 = PHCLayer, then global average pool
+* ``conv``   conv1, conv2 = Conv1d, then global average pool
+* ``phm``    fc1, fc2 = PHMLayer on the flattened segment
+* ``linear`` fc1, fc2 = Dense on the flattened segment
 
-GSR is single-channel, so its encoder is one multiplication layer (n = 1,
-i.e. dense) + BN + ReLU in every variant.
+Stage i normalizes with ``bn{i}``.  GSR is single-channel, so in every variant
+its encoder is the one stage ``fc``/``bn``: PHMLayer with n = 1 (i.e. dense)
+for phc/phm, Dense otherwise.  With ``share_encoder_algebra`` the second
+hypercomplex layer of an encoder uses the first one's A tensor.
 
 Checkpoint container: magic ``H2CK``, u32 version, u32 length + canonical
 JSON config block, u32 tensor count, then per tensor: u32 name length,
@@ -25,6 +28,7 @@ name bytes, u32 rank, u32 dims, float64 little-endian data.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -40,7 +44,6 @@ __all__ = [
     "VARIANTS",
     "ModelConfig",
     "H2Model",
-    "count_parameters",
     "serialize_model",
     "save_checkpoint",
     "load_checkpoint",
@@ -128,81 +131,57 @@ class ModelConfig:
         return cls(**d)
 
 
-class _ConvEncoder:
-    """[conv -> BN -> ReLU] x 2 -> global average pool -> [B, c2]."""
+class _Encoder:
+    """One modality's [layer -> BN -> ReLU] stages; see the module docstring."""
 
-    def __init__(self, c_in, cfg: ModelConfig, name: str, rng):
-        c1, c2 = cfg.conv_channels(name)
-        n = cfg.modality_n(name)
+    def __init__(self, cfg: ModelConfig, modality: str, rng):
+        c_in, length = SEGMENT_SHAPES[modality]
+        self.conv = cfg.variant in ("conv", "phc") and modality != "gsr"
+        self.d_flat = c_in * length
+        if modality == "gsr":
+            self.stage_names = [("fc", "bn")]
+            widths = [cfg.gsr_width]
+        elif self.conv:
+            self.stage_names = [("conv1", "bn1"), ("conv2", "bn2")]
+            widths = cfg.conv_channels(modality)
+        else:
+            self.stage_names = [("fc1", "bn1"), ("fc2", "bn2")]
+            widths = [cfg.flat_hidden(modality), cfg.embedding_width(modality)]
+        share = cfg.share_encoder_algebra and cfg.variant in ("phm", "phc")
+        self.stages = []
+        prev = c_in if self.conv else self.d_flat
+        for (layer_name, bn_name), width in zip(self.stage_names, widths):
+            # a shared A is passed in, so the second layer draws no A from rng
+            first = self.stages[0][0] if share and self.stages else None
+            layer = self._layer(cfg, modality, prev, width, rng, None if first is None else first.weight.a.data)
+            if first is not None:
+                layer.weight.a = first.weight.a
+            bn = BatchNorm1d(width)
+            setattr(self, layer_name, layer)
+            setattr(self, bn_name, bn)
+            self.stages.append((layer, bn))
+            prev = width
+
+    def _layer(self, cfg: ModelConfig, modality: str, d_in: int, d_out: int, rng, algebra):
+        n = cfg.modality_n(modality)
         k, s, p = cfg.kernel_size, cfg.stride, cfg.padding
-        if cfg.variant == "phc":
-            self.conv1 = PHCLayer(c_in, c1, n, k, rng, stride=s, padding=p)
-            algebra = self.conv1.weight.a.data if cfg.share_encoder_algebra else None
-            self.conv2 = PHCLayer(c1, c2, n, k, rng, stride=s, padding=p, algebra=algebra)
-            if cfg.share_encoder_algebra:
-                self.conv2.weight.a = self.conv1.weight.a
-        else:
-            self.conv1 = Conv1d(c_in, c1, k, rng, stride=s, padding=p)
-            self.conv2 = Conv1d(c1, c2, k, rng, stride=s, padding=p)
-        self.bn1 = BatchNorm1d(c1)
-        self.bn2 = BatchNorm1d(c2)
+        hyper = cfg.variant in ("phm", "phc")
+        if self.conv and hyper:
+            return PHCLayer(d_in, d_out, n, k, rng, stride=s, padding=p, algebra=algebra)
+        if self.conv:
+            return Conv1d(d_in, d_out, k, rng, stride=s, padding=p)
+        if hyper:
+            return PHMLayer(d_in, d_out, n, rng, algebra=algebra)
+        return Dense(d_in, d_out, rng)
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
-        h = relu(self.bn1(self.conv1(x), train))
-        h = relu(self.bn2(self.conv2(h), train))
-        return global_avg_pool(h)
+        h = x if self.conv else reshape(x, (x.shape[0], self.d_flat))
+        for layer, bn in self.stages:
+            h = relu(bn(layer(h), train))
+        return global_avg_pool(h) if self.conv else h
 
     def submodules(self):
-        return [("conv1", self.conv1), ("bn1", self.bn1), ("conv2", self.conv2), ("bn2", self.bn2)]
-
-
-class _FlatEncoder:
-    """[layer -> BN -> ReLU] x 2 on the flattened segment -> [B, emb]."""
-
-    def __init__(self, c_in, length, cfg: ModelConfig, name: str, rng):
-        d_flat = c_in * length
-        hidden = cfg.flat_hidden(name)
-        emb = cfg.embedding_width(name)
-        n = cfg.modality_n(name)
-        if cfg.variant == "phm":
-            self.fc1 = PHMLayer(d_flat, hidden, n, rng)
-            algebra = self.fc1.weight.a.data if cfg.share_encoder_algebra else None
-            self.fc2 = PHMLayer(hidden, emb, n, rng, algebra=algebra)
-            if cfg.share_encoder_algebra:
-                self.fc2.weight.a = self.fc1.weight.a
-        else:
-            self.fc1 = Dense(d_flat, hidden, rng)
-            self.fc2 = Dense(hidden, emb, rng)
-        self.bn1 = BatchNorm1d(hidden)
-        self.bn2 = BatchNorm1d(emb)
-        self.d_flat = d_flat
-
-    def forward(self, x: Tensor, train: bool) -> Tensor:
-        h = reshape(x, (x.shape[0], self.d_flat))
-        h = relu(self.bn1(self.fc1(h), train))
-        return relu(self.bn2(self.fc2(h), train))
-
-    def submodules(self):
-        return [("fc1", self.fc1), ("bn1", self.bn1), ("fc2", self.fc2), ("bn2", self.bn2)]
-
-
-class _GsrEncoder:
-    """Flattened segment -> one multiplication layer -> BN -> ReLU."""
-
-    def __init__(self, length, cfg: ModelConfig, rng):
-        self.d_flat = SEGMENT_SHAPES["gsr"][0] * length
-        if cfg.variant in ("phm", "phc"):
-            self.fc = PHMLayer(self.d_flat, cfg.gsr_width, cfg.n_gsr, rng)
-        else:
-            self.fc = Dense(self.d_flat, cfg.gsr_width, rng)
-        self.bn = BatchNorm1d(cfg.gsr_width)
-
-    def forward(self, x: Tensor, train: bool) -> Tensor:
-        h = reshape(x, (x.shape[0], self.d_flat))
-        return relu(self.bn(self.fc(h), train))
-
-    def submodules(self):
-        return [("fc", self.fc), ("bn", self.bn)]
+        return [(name, getattr(self, name)) for names in self.stage_names for name in names]
 
 
 class _Fusion:
@@ -235,17 +214,11 @@ class H2Model:
         self.cfg = cfg or ModelConfig()
         self.cfg.validate()
         rng = np.random.default_rng(seed)
-        c = self.cfg
-        if c.variant in ("conv", "phc"):
-            self.enc_eeg = _ConvEncoder(SEGMENT_SHAPES["eeg"][0], c, "eeg", rng)
-            self.enc_ecg = _ConvEncoder(SEGMENT_SHAPES["ecg"][0], c, "ecg", rng)
-            self.enc_eye = _ConvEncoder(SEGMENT_SHAPES["eye"][0], c, "eye", rng)
-        else:
-            self.enc_eeg = _FlatEncoder(*SEGMENT_SHAPES["eeg"], c, "eeg", rng)
-            self.enc_ecg = _FlatEncoder(*SEGMENT_SHAPES["ecg"], c, "ecg", rng)
-            self.enc_eye = _FlatEncoder(*SEGMENT_SHAPES["eye"], c, "eye", rng)
-        self.enc_gsr = _GsrEncoder(SEGMENT_SHAPES["gsr"][1], c, rng)
-        self.fusion = _Fusion(c.fusion_input_width(), c, rng)
+        self.enc_eeg = _Encoder(self.cfg, "eeg", rng)
+        self.enc_ecg = _Encoder(self.cfg, "ecg", rng)
+        self.enc_eye = _Encoder(self.cfg, "eye", rng)
+        self.enc_gsr = _Encoder(self.cfg, "gsr", rng)
+        self.fusion = _Fusion(self.cfg.fusion_input_width(), self.cfg, rng)
 
     # -- forward ------------------------------------------------------------
 
@@ -289,55 +262,40 @@ class H2Model:
     # -- parameter registry ---------------------------------------------------
 
     def _modules(self):
-        return [
-            ("eeg", self.enc_eeg),
-            ("ecg", self.enc_ecg),
-            ("eye", self.enc_eye),
-            ("gsr", self.enc_gsr),
-            ("fusion", self.fusion),
-        ]
+        encoders = [(m, getattr(self, f"enc_{m}")) for m in ("eeg", "ecg", "eye", "gsr")]
+        return encoders + [("fusion", self.fusion)]
+
+    def _named(self, kind: str):
+        """Qualified (name, array) pairs of every submodule's ``params`` or ``buffers``."""
+        for mod_name, mod in self._modules():
+            for sub_name, sub in mod.submodules():
+                for name, t in getattr(sub, kind, list)():
+                    yield f"{mod_name}.{sub_name}.{name}", t
 
     def named_parameters(self):
         """Ordered unique (name, Tensor) pairs; shared tensors appear once."""
         out, seen = [], set()
-        for mod_name, mod in self._modules():
-            for sub_name, sub in mod.submodules():
-                for p_name, p in sub.params():
-                    if id(p) in seen:
-                        continue
-                    seen.add(id(p))
-                    out.append((f"{mod_name}.{sub_name}.{p_name}", p))
+        for name, p in self._named("params"):
+            if id(p) not in seen:
+                seen.add(id(p))
+                out.append((name, p))
         return out
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]
 
     def named_buffers(self):
-        out = []
-        for mod_name, mod in self._modules():
-            for sub_name, sub in mod.submodules():
-                for b_name, b in getattr(sub, "buffers", list)() or []:
-                    out.append((f"{mod_name}.{sub_name}.{b_name}", b))
-        return out
+        return list(self._named("buffers"))
 
     def count_parameters(self) -> dict:
         """Learnable-scalar counts per module plus the total."""
         counts = {}
-        seen = set()
-        for mod_name, mod in self._modules():
-            for sub_name, sub in mod.submodules():
-                bucket = "head" if sub_name == "head" else mod_name
-                for _, p in sub.params():
-                    if id(p) in seen:
-                        continue
-                    seen.add(id(p))
-                    counts[bucket] = counts.get(bucket, 0) + p.size
-        counts["total"] = sum(v for k, v in counts.items())
+        for name, p in self.named_parameters():
+            mod_name, sub_name, _ = name.split(".")
+            bucket = "head" if sub_name == "head" else mod_name
+            counts[bucket] = counts.get(bucket, 0) + p.size
+        counts["total"] = sum(counts.values())
         return counts
-
-
-def count_parameters(model: H2Model) -> dict:
-    return model.count_parameters()
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +303,17 @@ def count_parameters(model: H2Model) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _entries(model: H2Model) -> list:
+    """The checkpoint's (name, array) entries in file order: parameters, then buffers."""
+    return [(n, p.data) for n, p in model.named_parameters()] + model.named_buffers()
+
+
 def serialize_model(model: H2Model, extra: dict | None = None) -> bytes:
     """Deterministic binary image of config, parameters and BN buffers."""
     config = {"model": model.cfg.to_dict(), "extra": extra or {}}
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     chunks = [_MAGIC, struct.pack("<I", _VERSION), struct.pack("<I", len(blob)), blob]
-    entries = [(n, p.data) for n, p in model.named_parameters()]
-    entries += [(n, b) for n, b in model.named_buffers()]
+    entries = _entries(model)
     chunks.append(struct.pack("<I", len(entries)))
     for name, arr in entries:
         nb = name.encode()
@@ -363,49 +325,58 @@ def serialize_model(model: H2Model, extra: dict | None = None) -> bytes:
     return b"".join(chunks)
 
 
+class _Reader:
+    """Sequential reads from a checkpoint image; any overrun is a FormatError."""
+
+    def __init__(self, data: bytes):
+        self.view = memoryview(data)
+        self.off = 0
+
+    def take(self, size: int, what: str) -> memoryview:
+        if self.off + size > len(self.view):
+            raise FormatError(f"checkpoint truncated in {what} at byte {self.off} of {len(self.view)}")
+        self.off += size
+        return self.view[self.off - size : self.off]
+
+    def u32(self, what: str) -> int:
+        return struct.unpack("<I", self.take(4, what))[0]
+
+
 def deserialize_model(data: bytes) -> tuple[H2Model, dict]:
-    if data[:4] != _MAGIC:
-        raise FormatError(f"bad checkpoint magic {data[:4]!r}")
-    off = 4
-    (version,) = struct.unpack_from("<I", data, off)
-    off += 4
+    r = _Reader(data)
+    magic = bytes(r.take(4, "magic"))
+    if magic != _MAGIC:
+        raise FormatError(f"bad checkpoint magic {magic!r}")
+    version = r.u32("version")
     if version != _VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
-    (blob_len,) = struct.unpack_from("<I", data, off)
-    off += 4
-    config = json.loads(data[off : off + blob_len].decode())
-    off += blob_len
-    (n_entries,) = struct.unpack_from("<I", data, off)
-    off += 4
+    blob = bytes(r.take(r.u32("config length"), "config block"))
+    try:
+        config = json.loads(blob)  # a block that is not UTF-8 raises UnicodeDecodeError
+        model_cfg = ModelConfig.from_dict(config["model"])
+        extra = dict(config.get("extra", {}))  # TypeError unless the block is an object
+    except (ValueError, KeyError, TypeError) as e:
+        raise FormatError(f"checkpoint config block is malformed: {e!r}") from e
     tensors = {}
-    for _ in range(n_entries):
-        (name_len,) = struct.unpack_from("<I", data, off)
-        off += 4
-        name = data[off : off + name_len].decode()
-        off += name_len
-        (rank,) = struct.unpack_from("<I", data, off)
-        off += 4
-        dims = struct.unpack_from(f"<{rank}I", data, off)
-        off += 4 * rank
-        count = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=off).reshape(dims)
-        off += count * 8
-        tensors[name] = arr.astype(np.float64)
+    for _ in range(r.u32("tensor count")):
+        # a name that is not UTF-8 decodes with U+FFFD and then matches no tensor below
+        name = str(r.take(r.u32("tensor name length"), "tensor name"), "utf-8", "replace")
+        rank = r.u32(f"rank of {name}")
+        dims = struct.unpack(f"<{rank}I", r.take(4 * rank, f"dims of {name}"))
+        data_bytes = r.take(8 * math.prod(dims), f"data of {name}")
+        tensors[name] = np.frombuffer(data_bytes, dtype="<f8").reshape(dims)
 
-    model = H2Model(ModelConfig.from_dict(config["model"]), seed=0)
-    for name, p in model.named_parameters():
+    model = H2Model(model_cfg, seed=0)
+    for name, arr in _entries(model):
         if name not in tensors:
-            raise FormatError(f"checkpoint is missing parameter {name}")
-        if tensors[name].shape != p.data.shape:
-            raise FormatError(f"parameter {name} has shape {tensors[name].shape}, want {p.data.shape}")
-        p.data = tensors.pop(name)
-    for name, b in model.named_buffers():
-        if name not in tensors:
-            raise FormatError(f"checkpoint is missing buffer {name}")
-        b[...] = tensors.pop(name)
+            raise FormatError(f"checkpoint is missing tensor {name}")
+        got = tensors.pop(name)
+        if got.shape != arr.shape:
+            raise FormatError(f"tensor {name} has shape {got.shape}, want {arr.shape}")
+        arr[...] = got
     if tensors:
         raise FormatError(f"checkpoint has unknown tensors: {sorted(tensors)[:3]}")
-    return model, config.get("extra", {})
+    return model, extra
 
 
 def save_checkpoint(model: H2Model, path, extra: dict | None = None):

@@ -54,7 +54,6 @@ __all__ = [
     "batch_norm",
     "dropout",
     "softmax_cross_entropy",
-    "kron",
     "kron_sum",
     "kron_sum_taps",
     "grad_check",
@@ -560,44 +559,12 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def kron(a: Tensor, b: Tensor) -> Tensor:
-    """Kronecker product of two rank-2 tensors: [p,q] x [r,s] -> [p*r, q*s]."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise RankError(f"kron needs two rank-2 tensors, got {a.data.shape} and {b.data.shape}")
-    p, q = a.data.shape
-    r, s = b.data.shape
-    data = np.einsum("pq,rs->prqs", a.data, b.data, optimize=True).reshape(p * r, q * s)
-
-    def vjp_a(g):
-        g4 = g.reshape(p, r, q, s)
-        return np.einsum("prqs,rs->pq", g4, b.data, optimize=True)
-
-    def vjp_b(g):
-        g4 = g.reshape(p, r, q, s)
-        return np.einsum("prqs,pq->rs", g4, a.data, optimize=True)
-
-    return _make_output(data, [(a, vjp_a), (b, vjp_b)])
-
-
 def kron_sum(a: Tensor, f: Tensor) -> Tensor:
-    """sum_i kron(a[i], f[i]) for a: [n,p,q], f: [n,r,s] -> [p*r, q*s]."""
-    if a.data.ndim != 3 or f.data.ndim != 3:
-        raise RankError(f"kron_sum needs [n,p,q] and [n,r,s], got {a.data.shape} and {f.data.shape}")
-    if a.data.shape[0] != f.data.shape[0]:
-        raise DimensionError(f"kron_sum leading dims disagree: {a.data.shape} vs {f.data.shape}")
-    n, p, q = a.data.shape
-    _, r, s = f.data.shape
-    data = np.einsum("ipq,irs->prqs", a.data, f.data, optimize=True).reshape(p * r, q * s)
+    """sum_i kron(a[i], f[i]) for a: [n,p,q], f: [n,r,s] -> [p*r, q*s].
 
-    def vjp_a(g):
-        g4 = g.reshape(p, r, q, s)
-        return np.einsum("prqs,irs->ipq", g4, f.data, optimize=True)
-
-    def vjp_f(g):
-        g4 = g.reshape(p, r, q, s)
-        return np.einsum("prqs,ipq->irs", g4, a.data, optimize=True)
-
-    return _make_output(data, [(a, vjp_a), (f, vjp_f)])
+    With n = 1 this is the plain Kronecker product of a[0] and f[0].
+    """
+    return _kron_sum(a, f, "kron_sum", "")
 
 
 def kron_sum_taps(a: Tensor, f: Tensor) -> Tensor:
@@ -606,21 +573,25 @@ def kron_sum_taps(a: Tensor, f: Tensor) -> Tensor:
     a: [n,p,q], f: [n,r,s,K] -> [p*r, q*s, K], applying kron_sum
     independently at every kernel tap.
     """
-    if a.data.ndim != 3 or f.data.ndim != 4:
-        raise RankError(f"kron_sum_taps needs [n,p,q] and [n,r,s,K], got {a.data.shape} and {f.data.shape}")
+    return _kron_sum(a, f, "kron_sum_taps", "k")
+
+
+def _kron_sum(a: Tensor, f: Tensor, op: str, k: str) -> Tensor:
+    """Forward and VJPs of both Kronecker sums; ``k`` subscripts F's tap axis ("" when F has none)."""
+    if a.data.ndim != 3 or f.data.ndim != 3 + len(k):
+        raise RankError(f"{op} needs [n,p,q] and a rank-{3 + len(k)} f, got {a.data.shape} and {f.data.shape}")
     if a.data.shape[0] != f.data.shape[0]:
-        raise DimensionError(f"kron_sum_taps leading dims disagree: {a.data.shape} vs {f.data.shape}")
-    n, p, q = a.data.shape
-    _, r, s, K = f.data.shape
-    data = np.einsum("ipq,irsk->prqsk", a.data, f.data, optimize=True).reshape(p * r, q * s, K)
+        raise DimensionError(f"{op} leading dims disagree: {a.data.shape} vs {f.data.shape}")
+    _, p, q = a.data.shape
+    r, s, *taps = f.data.shape[1:]
+    blocks = (p, r, q, s, *taps)
+    data = np.einsum(f"ipq,irs{k}->prqs{k}", a.data, f.data, optimize=True).reshape(p * r, q * s, *taps)
 
     def vjp_a(g):
-        g5 = g.reshape(p, r, q, s, K)
-        return np.einsum("prqsk,irsk->ipq", g5, f.data, optimize=True)
+        return np.einsum(f"prqs{k},irs{k}->ipq", g.reshape(blocks), f.data, optimize=True)
 
     def vjp_f(g):
-        g5 = g.reshape(p, r, q, s, K)
-        return np.einsum("prqsk,ipq->irsk", g5, a.data, optimize=True)
+        return np.einsum(f"prqs{k},ipq->irs{k}", g.reshape(blocks), a.data, optimize=True)
 
     return _make_output(data, [(a, vjp_a), (f, vjp_f)])
 

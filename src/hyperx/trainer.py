@@ -148,9 +148,10 @@ class Adam:
         for name, p in self.named_params:
             if p.grad is None:
                 continue
-            if not np.isfinite(p.grad).all():
-                raise GradientError(f"non-finite gradient in parameter {name}")
-            adam_step(p.data, p.grad, self.state[name], lr, beta1, self.beta2, self.eps)
+            try:
+                adam_step(p.data, p.grad, self.state[name], lr, beta1, self.beta2, self.eps)
+            except GradientError as e:
+                raise GradientError(f"non-finite gradient in parameter {name}") from e
 
     def zero_grads(self):
         zero_grads(p for _, p in self.named_params)

@@ -192,6 +192,14 @@ def test_eval_corrupt_checkpoint_is_data_error(tmp_path, raw_dir):
     assert main(["eval", "--checkpoint", str(bad), "--data", str(raw_dir), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_eval_truncated_checkpoint_is_data_error(tmp_path, raw_dir, trained_dir):
+    blob = (trained_dir / "checkpoint.h2ck").read_bytes()
+    for cut in (10, 50, 100, len(blob) // 2):
+        bad = tmp_path / f"cut{cut}.h2ck"
+        bad.write_bytes(blob[:cut])
+        assert main(["eval", "--checkpoint", str(bad), "--data", str(raw_dir), "--out", str(tmp_path / "o")]) == 2
+
+
 def test_worker_count_respects_env(monkeypatch):
     from hyperx.sigproc import worker_count
 

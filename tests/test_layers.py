@@ -16,7 +16,6 @@ from hyperx.tensor import (
     Tensor,
     backward,
     grad_check,
-    kron,
     kron_sum,
     kron_sum_taps,
     relu,
@@ -56,19 +55,19 @@ def quaternion_multiply(q, p):
 
 
 # ---------------------------------------------------------------------------
-# kron
+# kron: kron_sum with a leading axis of 1 is the plain Kronecker product
 # ---------------------------------------------------------------------------
 
 
 def test_kron_identity_gives_block_diagonal():
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    got = kron(Tensor(np.eye(2)), Tensor(m)).data
+    got = kron_sum(Tensor(np.eye(2)[None]), Tensor(m[None])).data
     want = np.block([[m, np.zeros((2, 2))], [np.zeros((2, 2)), m]])
     np.testing.assert_array_equal(got, want)
 
 
 def test_kron_permutation_blocks():
-    got = kron(Tensor([[0.0, 1.0], [1.0, 0.0]]), Tensor([[1.0, 2.0], [3.0, 4.0]])).data
+    got = kron_sum(Tensor([[[0.0, 1.0], [1.0, 0.0]]]), Tensor([[[1.0, 2.0], [3.0, 4.0]]])).data
     want = [[0, 0, 1, 2], [0, 0, 3, 4], [1, 2, 0, 0], [3, 4, 0, 0]]
     np.testing.assert_array_equal(got, want)
 
@@ -76,21 +75,21 @@ def test_kron_permutation_blocks():
 def test_kron_matches_loop_oracle_exactly():
     rng = np.random.default_rng(0)
     a, b = rng.standard_normal((3, 2)), rng.standard_normal((2, 4))
-    np.testing.assert_array_equal(kron(Tensor(a), Tensor(b)).data, kron_loop_oracle(a, b))
+    np.testing.assert_array_equal(kron_sum(Tensor(a[None]), Tensor(b[None])).data, kron_loop_oracle(a, b))
 
 
 def test_kron_rank_error():
     with pytest.raises(RankError):
-        kron(Tensor(np.zeros(3)), Tensor(np.zeros((2, 2))))
+        kron_sum(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 2, 2))))
 
 
 def test_kron_gradients():
     rng = np.random.default_rng(1)
-    a = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
-    b = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+    a = Tensor(rng.standard_normal((1, 3, 2)), requires_grad=True)
+    b = Tensor(rng.standard_normal((1, 2, 4)), requires_grad=True)
 
     def f(_t):
-        y = kron(a, b)
+        y = kron_sum(a, b)
         return tensor_sum(y * y)
 
     assert grad_check(f, a).passed

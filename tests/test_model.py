@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -229,6 +230,47 @@ def test_checkpoint_magic_and_missing_tensor_errors():
     truncated = blob[: len(blob) // 2]
     with pytest.raises(Exception):
         deserialize_model(truncated)
+
+
+def test_every_truncated_checkpoint_is_a_format_error():
+    blob = serialize_model(H2Model(tiny_model_config(), seed=6), extra={"note": 1})
+    # every cut inside the header, then cuts spread over the tensor entries
+    cuts = list(range(65)) + np.linspace(65, len(blob) - 1, 40).astype(int).tolist()
+    for cut in cuts:
+        with pytest.raises(FormatError):
+            deserialize_model(blob[:cut])
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        (b'"model"', b'\xff"model"'),  # not UTF-8
+        (b'"model"', b'["model"'),  # not JSON
+        (b'"extra":{}', b'"extra":[1]'),  # extra block is not an object
+    ],
+)
+def test_corrupt_config_block_is_a_format_error(old, new):
+    blob = serialize_model(H2Model(tiny_model_config(), seed=6))
+    i = blob.index(old)
+    patched = blob[:i] + new + blob[i + len(old) :]
+    blob_len = struct.unpack_from("<I", blob, 8)[0] + len(new) - len(old)
+    with pytest.raises(FormatError, match="config block"):
+        deserialize_model(patched[:8] + struct.pack("<I", blob_len) + patched[12:])
+
+
+def test_corrupt_tensor_name_or_shape_is_a_format_error():
+    model = H2Model(tiny_model_config(), seed=6)
+    blob = serialize_model(model)
+    i = blob.index(b"eeg.bn1.running_mean")
+    with pytest.raises(FormatError, match="missing tensor eeg.bn1.running_mean"):
+        deserialize_model(blob[:i] + b"\xff" + blob[i + 1 :])
+    # a one-element buffer must not broadcast into a [C] buffer
+    rank_at = i + len(b"eeg.bn1.running_mean")
+    width = model.enc_eeg.bn1.running_mean.size
+    one = struct.pack("<II", 1, 1) + struct.pack("<d", 3.0)
+    bad = blob[:rank_at] + one + blob[rank_at + 8 + 8 * width :]
+    with pytest.raises(FormatError, match="shape"):
+        deserialize_model(bad)
 
 
 def test_checkpoint_restores_running_stats():

@@ -134,6 +134,18 @@ def test_adam_optimizer_skips_gradless_params():
     np.testing.assert_array_equal(p2.data, np.ones(3))
 
 
+def test_adam_optimizer_names_the_non_finite_parameter():
+    from hyperx.tensor import Tensor
+
+    p = Tensor(np.ones(2), requires_grad=True)
+    p.grad = np.array([1.0, np.inf])
+    opt = Adam([("fusion.head.W", p)])
+    with pytest.raises(GradientError, match="fusion.head.W"):
+        opt.step(0.1, 0.9)
+    np.testing.assert_array_equal(p.data, np.ones(2))
+    assert opt.state["fusion.head.W"] == {}
+
+
 # ---------------------------------------------------------------------------
 # early stopping
 # ---------------------------------------------------------------------------
