@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -312,3 +314,45 @@ def test_gsr_baseline_centers_trial_start(tiny_raw_dataset):
     pt = preprocess_trial(tiny_raw_dataset.trials[0])
     # after subtracting the pre-onset mean the first second sits near zero
     assert abs(pt.gsr[0, :128].mean()) < 1.0
+
+
+# ---------------------------------------------------------------------------
+# dataset pass: pinned bytes and the per-trial oracle
+# ---------------------------------------------------------------------------
+
+# SHA-256 of the <f8 bytes of eeg, ecg, gsr and eye, joined in that order, of
+# preprocess_dataset over SyntheticSpec(num_subjects=1, trials_per_subject=11,
+# seed=3): 33 segments.
+SEGMENTS_GOLDEN_SHA256 = "be03a7a496f287046752c48a357ffda01e4c33cb5ba6f2379cd415ec958b3e0f"
+
+
+@pytest.fixture(scope="module")
+def eleven_trials():
+    # 11 trials: not a multiple of the dataset pass's block size
+    return generate_synthetic(SyntheticSpec(num_subjects=1, trials_per_subject=11, seed=3))
+
+
+def test_preprocess_dataset_bytes_are_golden(eleven_trials):
+    segs = preprocess_dataset(eleven_trials)
+    assert len(segs) == 33
+    digest = hashlib.sha256()
+    for name in ("eeg", "ecg", "gsr", "eye"):
+        digest.update(np.ascontiguousarray(getattr(segs, name), dtype="<f8").tobytes())
+    assert digest.hexdigest() == SEGMENTS_GOLDEN_SHA256
+
+
+def test_preprocess_dataset_equals_per_trial_oracle(eleven_trials):
+    got = preprocess_dataset(eleven_trials)
+    flat = [seg for t in eleven_trials.trials for seg in segment_trial(preprocess_trial(t))]
+    want = dict(
+        eeg=np.stack([s["eeg"] for s in flat]),
+        ecg=np.stack([s["ecg"] for s in flat]),
+        gsr=np.stack([s["gsr"] for s in flat]),
+        eye=np.stack([s["eye"] for s in flat]),
+        arousal=np.array([s["arousal"] for s in flat]),
+        valence=np.array([s["valence"] for s in flat]),
+        trial_ids=np.array([s["trial_id"] for s in flat]),
+        subjects=np.array([s["subject"] for s in flat]),
+    )
+    for name, arr in want.items():
+        assert np.array_equal(getattr(got, name), arr), name
