@@ -80,21 +80,28 @@ def _load_config_file(path):
     if path is None:
         return {}
     try:
-        return json.loads(Path(path).read_text())
+        config = json.loads(Path(path).read_text())
     except FileNotFoundError as e:
         raise FormatError(f"config file not found: {path}") from e
     except json.JSONDecodeError as e:
         raise FormatError(f"config file {path} is not valid JSON: {e}") from e
+    if not isinstance(config, dict):
+        raise FormatError(f"config file {path} is not a JSON object")
+    return config
 
 
-def _merged_config(cls, file_section: dict, flag_values: dict):
+def _merged_config(cls, file_cfg: dict, section: str, flag_values: dict | None = None):
+    """``cls`` from its defaults, then the config file's ``section``, then set flags."""
+    file_section = file_cfg.get(section, {})
+    if not isinstance(file_section, dict):
+        raise FormatError(f"config file section {section!r} is not a JSON object")
     cfg = cls()
     known = set(cfg.to_dict())
     unknown = set(file_section) - known
     if unknown:
         raise FormatError(f"unknown {cls.__name__} keys in config file: {sorted(unknown)}")
     merged = {**cfg.to_dict(), **file_section}
-    merged.update({k: v for k, v in flag_values.items() if v is not None})
+    merged.update({k: v for k, v in (flag_values or {}).items() if v is not None})
     return cls.from_dict(merged)
 
 
@@ -131,12 +138,12 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_segments_any(path, preprocess_cfg=None, workers=None):
+def _load_segments_any(path, preprocess_cfg=None):
     """Accept a raw dataset directory or a preprocessed .npz archive."""
     p = Path(path)
     if p.is_dir():
         raw = ds.load_dataset(p)
-        return sigproc.preprocess_dataset(raw, preprocess_cfg, workers=workers), p
+        return sigproc.preprocess_dataset(raw, preprocess_cfg), p
     if p.suffix == ".npz":
         segs, _ = ds.load_segments(p)
         return segs, None
@@ -144,9 +151,9 @@ def _load_segments_any(path, preprocess_cfg=None, workers=None):
 
 
 def cmd_preprocess(args) -> int:
-    cfg = sigproc.PreprocessConfig.from_dict(_load_config_file(args.config).get("preprocess", {}))
+    cfg = _merged_config(sigproc.PreprocessConfig, _load_config_file(args.config), "preprocess")
     raw = ds.load_dataset(args.data)
-    segs = sigproc.preprocess_dataset(raw, cfg, workers=args.workers)
+    segs = sigproc.preprocess_dataset(raw, cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     ds.save_segments(segs, out, meta={"preprocess": cfg.to_dict(), "source": str(args.data)})
@@ -187,9 +194,7 @@ def _train_once(segs, model_cfg: ModelConfig, train_cfg: TrainConfig, outdir: Pa
 
 def cmd_train(args) -> int:
     file_cfg = _load_config_file(args.config)
-    model_cfg = _merged_config(
-        ModelConfig, file_cfg.get("model", {}), {"variant": args.variant, "dropout_p": args.dropout}
-    )
+    model_cfg = _merged_config(ModelConfig, file_cfg, "model", {"variant": args.variant, "dropout_p": args.dropout})
     train_flags = {
         "target": args.target,
         "epochs": args.epochs,
@@ -203,13 +208,13 @@ def cmd_train(args) -> int:
         "track_train_accuracy": True if args.track_train_accuracy else None,
         "augment": False if args.no_augment else None,
     }
-    train_cfg = _merged_config(TrainConfig, file_cfg.get("train", {}), train_flags)
-    pre_cfg = sigproc.PreprocessConfig.from_dict(file_cfg.get("preprocess", {}))
+    train_cfg = _merged_config(TrainConfig, file_cfg, "train", train_flags)
+    pre_cfg = _merged_config(sigproc.PreprocessConfig, file_cfg, "preprocess")
 
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [train_cfg.seed]
     variants = list(VARIANTS) if args.sweep_variants else [model_cfg.variant]
 
-    segs, raw_path = _load_segments_any(args.data, pre_cfg, args.workers)
+    segs, raw_path = _load_segments_any(args.data, pre_cfg)
     outdir = Path(args.out)
     rows = []
     for variant in variants:
@@ -274,8 +279,8 @@ def cmd_eval(args) -> int:
     if args.target:
         train_cfg = replace(train_cfg, target=args.target)
 
-    pre_cfg = sigproc.PreprocessConfig.from_dict(_load_config_file(args.config).get("preprocess", {}))
-    segs, raw_path = _load_segments_any(args.data, pre_cfg, args.workers)
+    pre_cfg = _merged_config(sigproc.PreprocessConfig, _load_config_file(args.config), "preprocess")
+    segs, raw_path = _load_segments_any(args.data, pre_cfg)
     _, test_segs = ds.split_segments(
         segs, train_cfg.target, train_cfg.train_frac, train_cfg.split_seed, train_cfg.split_unit
     )
@@ -462,7 +467,6 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.add_argument("--workers", type=int)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train", help="train the classifier")
@@ -484,7 +488,6 @@ def build_parser() -> _Parser:
     p.add_argument("--no-augment", action="store_true")
     p.add_argument("--track-train-accuracy", action="store_true")
     p.add_argument("--config", help="JSON file with model/train/preprocess sections")
-    p.add_argument("--workers", type=int)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -494,7 +497,6 @@ def build_parser() -> _Parser:
     p.add_argument("--target", choices=["arousal", "valence"])
     p.add_argument("--emit-embeddings", action="store_true")
     p.add_argument("--config")
-    p.add_argument("--workers", type=int)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="compare tape gradients against finite differences")

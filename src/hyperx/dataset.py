@@ -77,6 +77,18 @@ SEGMENT_SHAPES = {
 _FORMAT_NAME = "hyperx-raw-v1"
 
 
+class DictConfig:
+    """``to_dict``/``from_dict`` of a config dataclass; tuple fields travel as JSON lists."""
+
+    def to_dict(self):
+        return {f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, d):
+        tuples = {f.name for f in fields(cls) if isinstance(f.default, tuple)}
+        return cls(**{k: tuple(v) if k in tuples else v for k, v in dict(d).items()})
+
+
 @dataclass
 class RawTrial:
     """One synchronized recording at native rates, labels in {0, 1, 2}.
@@ -136,7 +148,7 @@ class TrialDataset:
 
 
 @dataclass
-class SyntheticSpec:
+class SyntheticSpec(DictConfig):
     """Deterministic class-coupled multimodal signal generator settings.
 
     The arousal label sets inter-channel phase offsets at ``arousal_freq``,
@@ -156,13 +168,6 @@ class SyntheticSpec:
     blink_rate: float = 1.0
     blink_ms: float = 150.0
     pre_trial_ms: int = 1000
-
-    def to_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 def class_phase_step(label: int, n_channels: int) -> float:
@@ -307,16 +312,7 @@ class SegmentSet:
 
     def take(self, idx) -> "SegmentSet":
         idx = np.asarray(idx, dtype=np.int64)
-        return SegmentSet(
-            self.eeg[idx],
-            self.ecg[idx],
-            self.gsr[idx],
-            self.eye[idx],
-            self.arousal[idx],
-            self.valence[idx],
-            self.trial_ids[idx],
-            self.subjects[idx],
-        )
+        return SegmentSet(*(getattr(self, f.name)[idx] for f in fields(self)))
 
     def validate_shapes(self):
         for name, shape in SEGMENT_SHAPES.items():
@@ -439,22 +435,45 @@ def save_dataset(ds: TrialDataset, path) -> Path:
     return root
 
 
+# Required manifest keys and their JSON types, at the top level and per entry.
+_MANIFEST_KEYS = {"modalities": list, "pre_trial_ms": int, "trials": list}
+_MODALITY_KEYS = {"name": str, "channels": int, "rate": int}
+_TRIAL_KEYS = {"id": str, "subject": int, "arousal": int, "valence": int, "file": str, "bytes": int}
+
+
+def _checked(obj, schema: dict, where: str) -> dict:
+    """``obj`` if it is a JSON object holding every key of ``schema`` with its type."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"{where} is not a JSON object")
+    for key, kind in schema.items():
+        if type(obj.get(key)) is not kind:
+            raise FormatError(f"{where}: key {key!r} is missing or not of type {kind.__name__}")
+    return obj
+
+
 def load_dataset(path) -> TrialDataset:
+    """Read a raw dataset directory; a malformed manifest is a FormatError, a
+    payload that disagrees with it or holds a non-finite value an IntegrityError."""
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise FormatError(f"no manifest.json under {root}")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_bytes())
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise FormatError(f"{manifest_path} is not UTF-8 JSON: {e}") from e
+    _checked(manifest, _MANIFEST_KEYS, "manifest")
     if manifest.get("format") != _FORMAT_NAME:
         raise FormatError(f"unknown dataset format {manifest.get('format')!r}")
-    known = {n for n, _, _ in RAW_MODALITIES}
-    listed = [(m["name"], m["channels"], m["rate"]) for m in manifest["modalities"]]
-    for name, _, _ in listed:
-        if name not in known:
-            raise FormatError(f"unknown modality name {name!r} in manifest")
+    modalities = [_checked(m, _MODALITY_KEYS, f"manifest modality {i}") for i, m in enumerate(manifest["modalities"])]
+    listed = [(m["name"], m["channels"], m["rate"]) for m in modalities]
+    names = sorted(name for name, _, _ in listed)
+    if names != sorted(n for n, _, _ in RAW_MODALITIES):
+        raise FormatError(f"manifest lists modalities {names}; want each of eeg, ecg, gsr, eye once")
     pre_ms = manifest["pre_trial_ms"]
     trials = []
-    for entry in manifest["trials"]:
+    for i, entry in enumerate(manifest["trials"]):
+        _checked(entry, _TRIAL_KEYS, f"manifest trial {i}")
         fpath = root / entry["file"]
         if not fpath.exists():
             raise IntegrityError(f"trial {entry['id']}: missing payload file {entry['file']}")
@@ -464,6 +483,8 @@ def load_dataset(path) -> TrialDataset:
             raise IntegrityError(
                 f"trial {entry['id']}: payload is {len(payload)} bytes (manifest says {entry['bytes']}), expected {want}"
             )
+        if not np.isfinite(np.frombuffer(payload, dtype="<f4")).all():
+            raise IntegrityError(f"trial {entry['id']}: payload holds non-finite values")
         arrays = {}
         offset = 0
         for name, channels, rate in listed:

@@ -16,14 +16,22 @@ Pipeline per trial (pure function of the trial and the config):
 
 All IIR filtering is forward-backward (zero phase) with odd-reflection
 padding of three filter lengths at each end.
+
+Steps 1-7 are one function of a trial's arrays, [C, L], or of a block of
+trials stacked to [N, C, L]: every step works on the last two axes, and
+filtering is independent per row, so a block gives bitwise the same
+result as its trials one at a time.  ``preprocess_dataset`` runs the chain
+once per block of ``BLOCK_TRIALS`` consecutive trials, which designs each
+filter and sets up each ``sosfiltfilt`` once per block instead of once per
+trial.  A block is kept small because its float64 intermediates live
+together: stacking all trials at once doubled peak memory.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal as sps
@@ -32,11 +40,12 @@ from .dataset import (
     EYE_RATE,
     SEGMENT_SECONDS,
     TARGET_RATE,
+    DictConfig,
     RawTrial,
     SegmentSet,
     TrialDataset,
 )
-from .errors import ConfigError, TooShortError
+from .errors import ConfigError, FormatError, TooShortError
 
 __all__ = [
     "IIRFilterSpec",
@@ -93,7 +102,7 @@ def _zero_phase(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def apply_filter(x: np.ndarray, spec: IIRFilterSpec, fs: float) -> np.ndarray:
-    """Zero-phase application of ``spec`` to each channel of [C, L]."""
+    """Zero-phase application of ``spec`` along the last axis of x."""
     return _zero_phase(spec.design_sos(fs), np.asarray(x, dtype=np.float64))
 
 
@@ -109,9 +118,10 @@ def downsample_by2(x: np.ndarray, fs: float = 256.0) -> np.ndarray:
 
 
 def average_reference(eeg: np.ndarray) -> np.ndarray:
-    """Subtract the instantaneous cross-channel mean from every channel."""
+    """Subtract the instantaneous cross-channel mean from every channel of
+    [C, L] or [N, C, L]."""
     eeg = np.asarray(eeg, dtype=np.float64)
-    return eeg - eeg.mean(axis=0, keepdims=True)
+    return eeg - eeg.mean(axis=-2, keepdims=True)
 
 
 def baseline_correct_gsr(
@@ -124,24 +134,24 @@ def baseline_correct_gsr(
         raise TooShortError(
             f"need {window} pre-trial samples for a {baseline_ms} ms baseline, have {pre_trial_samples}"
         )
-    base = gsr[:, pre_trial_samples - window : pre_trial_samples].mean(axis=1, keepdims=True)
-    return gsr[:, pre_trial_samples:] - base
+    base = gsr[..., pre_trial_samples - window : pre_trial_samples].mean(axis=-1, keepdims=True)
+    return gsr[..., pre_trial_samples:] - base
 
 
 def merge_eyes(eye: np.ndarray) -> np.ndarray:
-    """[8, L] left/right quantity blocks -> [4, L] means; any -1 stays -1.
+    """[..., 8, L] left/right quantity blocks -> [..., 4, L] means; any -1 stays -1.
 
     -1 marks blinks or tracking loss, which is itself informative, so it
     propagates: if either eye reads -1 the merged sample is -1.
     """
-    left, right = eye[0:4], eye[4:8]
+    left, right = eye[..., 0:4, :], eye[..., 4:8, :]
     merged = 0.5 * (left + right)
     merged[(left == -1.0) | (right == -1.0)] = -1.0
     return merged
 
 
 @dataclass
-class PreprocessConfig:
+class PreprocessConfig(DictConfig):
     eeg_band: tuple = (1.0, 45.0)
     ecg_band: tuple = (0.5, 45.0)
     gsr_lowpass_hz: float = 60.0
@@ -151,20 +161,6 @@ class PreprocessConfig:
     baseline_ms: float = 200.0
     segment_seconds: float = float(SEGMENT_SECONDS)
     segment_overlap_seconds: float = 0.0
-    # The 60 Hz GSR corner sits at 94% of the post-downsample Nyquist, so
-    # by default it is applied before downsampling, at 256 Hz.
-    gsr_lowpass_at_native_rate: bool = True
-
-    def to_dict(self):
-        return {f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        for key in ("eeg_band", "ecg_band"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return cls(**d)
 
 
 @dataclass
@@ -179,21 +175,17 @@ class PreprocessedTrial:
     eye: np.ndarray  # [4,  30 s * 60]
 
 
-def preprocess_trial(trial: RawTrial, cfg: PreprocessConfig | None = None) -> PreprocessedTrial:
-    cfg = cfg or PreprocessConfig()
-    pre128 = int(round(TARGET_RATE * trial.pre_trial_ms / 1000.0))
-    pre60 = int(round(EYE_RATE * trial.pre_trial_ms / 1000.0))
+def _chain(eeg, ecg, gsr, eye, pre_trial_ms: int, cfg: PreprocessConfig):
+    """Steps 1-7 of the module docstring on one trial's [C, L] arrays or a
+    block's [N, C, L] arrays; returns (eeg, ecg, gsr, eye) of the trial portion."""
+    pre128 = int(round(TARGET_RATE * pre_trial_ms / 1000.0))
+    pre60 = int(round(EYE_RATE * pre_trial_ms / 1000.0))
 
-    gsr = trial.gsr
-    gsr_lp = IIRFilterSpec("lowpass", high=cfg.gsr_lowpass_hz, order=cfg.filter_order)
-    if cfg.gsr_lowpass_at_native_rate:
-        gsr = apply_filter(gsr, gsr_lp, 256.0)
+    gsr = apply_filter(gsr, IIRFilterSpec("lowpass", high=cfg.gsr_lowpass_hz, order=cfg.filter_order), 256.0)
 
-    eeg = downsample_by2(trial.eeg, 256.0)
-    ecg = downsample_by2(trial.ecg, 256.0)
+    eeg = downsample_by2(eeg, 256.0)
+    ecg = downsample_by2(ecg, 256.0)
     gsr = downsample_by2(gsr, 256.0)
-    if not cfg.gsr_lowpass_at_native_rate:
-        gsr = apply_filter(gsr, gsr_lp, float(TARGET_RATE))
 
     eeg = average_reference(eeg)
     eeg = apply_filter(eeg, IIRFilterSpec("bandpass", *cfg.eeg_band, order=cfg.filter_order), float(TARGET_RATE))
@@ -205,11 +197,12 @@ def preprocess_trial(trial: RawTrial, cfg: PreprocessConfig | None = None) -> Pr
     gsr = apply_filter(gsr, notch, float(TARGET_RATE))
 
     gsr = baseline_correct_gsr(gsr, float(TARGET_RATE), pre128, cfg.baseline_ms)
-    eeg = eeg[:, pre128:]
-    ecg = ecg[:, pre128:]
-    eye = merge_eyes(trial.eye)[:, pre60:]
+    return eeg[..., pre128:], ecg[..., pre128:], gsr, merge_eyes(eye)[..., pre60:]
 
-    return PreprocessedTrial(trial.trial_id, trial.subject, trial.arousal, trial.valence, eeg, ecg, gsr, eye)
+
+def preprocess_trial(trial: RawTrial, cfg: PreprocessConfig | None = None) -> PreprocessedTrial:
+    arrays = _chain(trial.eeg, trial.ecg, trial.gsr, trial.eye, trial.pre_trial_ms, cfg or PreprocessConfig())
+    return PreprocessedTrial(trial.trial_id, trial.subject, trial.arousal, trial.valence, *arrays)
 
 
 def segment_trial(pt: PreprocessedTrial, segment_seconds: float | None = None, overlap_seconds: float = 0.0):
@@ -251,7 +244,7 @@ def segment_trial(pt: PreprocessedTrial, segment_seconds: float | None = None, o
 
 
 def worker_count(requested: int | None = None) -> int:
-    """Parallel worker count, capped by the HYPERX_THREADS environment variable."""
+    """Worker count capped by the HYPERX_THREADS environment variable; nothing in hyperx calls it."""
     n = requested or os.cpu_count() or 1
     cap = os.environ.get("HYPERX_THREADS")
     if cap:
@@ -259,23 +252,33 @@ def worker_count(requested: int | None = None) -> int:
     return max(1, n)
 
 
-def preprocess_dataset(
-    ds: TrialDataset, cfg: PreprocessConfig | None = None, workers: int | None = None
-) -> SegmentSet:
-    """Preprocess and segment every trial; trials run in parallel threads."""
+# Trials per filter pass of preprocess_dataset: one block of all trials doubled
+# peak memory, while 8 stays within a few percent of filtering trial by trial.
+BLOCK_TRIALS = 8
+
+
+def preprocess_dataset(ds: TrialDataset, cfg: PreprocessConfig | None = None) -> SegmentSet:
+    """Preprocess and segment every trial, one filter pass per block of trials.
+
+    A block takes its pre-trial context from its trials, never from
+    ``ds.pre_trial_ms``, so all trials must agree on it.
+    """
     cfg = cfg or PreprocessConfig()
-    n_workers = worker_count(workers)
-
-    def work(trial):
-        return segment_trial(preprocess_trial(trial, cfg), cfg.segment_seconds, cfg.segment_overlap_seconds)
-
-    if n_workers > 1 and len(ds.trials) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            per_trial = list(pool.map(work, ds.trials))
-    else:
-        per_trial = [work(t) for t in ds.trials]
-
-    flat = [seg for segs in per_trial for seg in segs]
+    trials = ds.trials
+    for t in trials:
+        if t.pre_trial_ms != trials[0].pre_trial_ms:
+            raise FormatError(
+                f"trial {t.trial_id}: pre_trial_ms={t.pre_trial_ms} differs from "
+                f"{trials[0].pre_trial_ms} of trial {trials[0].trial_id}"
+            )
+    flat = []
+    for start in range(0, len(trials), BLOCK_TRIALS):
+        block = trials[start : start + BLOCK_TRIALS]
+        stacked = (np.stack([t.modality(name) for t in block]) for name in ("eeg", "ecg", "gsr", "eye"))
+        arrays = _chain(*stacked, block[0].pre_trial_ms, cfg)
+        for i, t in enumerate(block):
+            pt = PreprocessedTrial(t.trial_id, t.subject, t.arousal, t.valence, *(a[i] for a in arrays))
+            flat += segment_trial(pt, cfg.segment_seconds, cfg.segment_overlap_seconds)
     if not flat:
         raise ConfigError("no segments produced; are the trials long enough?")
     return SegmentSet(

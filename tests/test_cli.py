@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -198,6 +199,42 @@ def test_eval_truncated_checkpoint_is_data_error(tmp_path, raw_dir, trained_dir)
         bad = tmp_path / f"cut{cut}.h2ck"
         bad.write_bytes(blob[:cut])
         assert main(["eval", "--checkpoint", str(bad), "--data", str(raw_dir), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_manifest_without_pre_trial_ms_is_data_error(tmp_path, raw_dir):
+    broken = tmp_path / "raw"
+    shutil.copytree(raw_dir, broken)
+    manifest = json.loads((broken / "manifest.json").read_text())
+    del manifest["pre_trial_ms"]
+    (broken / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["preprocess", "--data", str(broken), "--out", str(tmp_path / "segs.npz")]) == 2
+
+
+@pytest.mark.parametrize(
+    "payload,match",
+    [
+        ({"preprocess": {"bogus": 1}}, "bogus"),
+        ({"preprocess": {"gsr_lowpass_at_native_rate": False}}, "gsr_lowpass_at_native_rate"),
+        ({"preprocess": [1]}, "'preprocess' is not a JSON object"),
+        ([1, 2], "is not a JSON object"),
+    ],
+)
+def test_bad_config_file_is_data_error(tmp_path, raw_dir, capsys, payload, match):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    out = tmp_path / "o"
+    for argv in (
+        ["preprocess", "--data", str(raw_dir), "--out", str(out / "segs.npz"), "--config", str(cfg)],
+        ["train", "--data", str(raw_dir), "--out", str(out), "--config", str(cfg)],
+    ):
+        assert main(argv) == 2
+        assert match in capsys.readouterr().err
+
+
+def test_workers_flag_is_gone(tmp_path, raw_dir):
+    with pytest.raises(SystemExit) as exc:
+        main(["preprocess", "--data", str(raw_dir), "--out", str(tmp_path / "s.npz"), "--workers", "2"])
+    assert exc.value.code == 1
 
 
 def test_worker_count_respects_env(monkeypatch):

@@ -259,6 +259,50 @@ def test_unknown_format_rejected(tmp_path):
         load_dataset(root)
 
 
+def _drop_key(key):
+    def mutate(root):
+        manifest = json.loads((root / "manifest.json").read_text())
+        del manifest[key]
+        (root / "manifest.json").write_text(json.dumps(manifest))
+
+    return mutate
+
+
+def _retype_trial_subject(root):
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["trials"][1]["subject"] = "one"
+    (root / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _not_json(root):
+    (root / "manifest.json").write_bytes(b"\xff{")
+
+
+def _nan_in_payload(root):
+    victim = sorted((root / "trials").iterdir())[1]
+    payload = victim.read_bytes()
+    victim.write_bytes(payload[:40] + np.float32(np.nan).tobytes() + payload[44:])
+
+
+@pytest.mark.parametrize(
+    "mutate,error,match",
+    [
+        (_drop_key("pre_trial_ms"), FormatError, "pre_trial_ms"),
+        (_drop_key("trials"), FormatError, "trials"),
+        (_drop_key("modalities"), FormatError, "modalities"),
+        (_retype_trial_subject, FormatError, "manifest trial 1: key 'subject' is missing or not of type int"),
+        (_not_json, FormatError, "not UTF-8 JSON"),
+        (_nan_in_payload, IntegrityError, "s000t00001: payload holds non-finite"),
+    ],
+    ids=["no_pre_trial_ms", "no_trials", "no_modalities", "str_subject", "not_json", "nan_payload"],
+)
+def test_malformed_manifest_or_payload_is_rejected_at_load(tmp_path, mutate, error, match):
+    root = save_dataset(generate_synthetic(SyntheticSpec(num_subjects=1, trials_per_subject=3)), tmp_path / "ds")
+    mutate(root)
+    with pytest.raises(error, match=match):
+        load_dataset(root)
+
+
 def test_segment_archive_roundtrip(tmp_path, tiny_segments):
     path = tmp_path / "segs.npz"
     save_segments(tiny_segments, path, meta={"origin": "test"})

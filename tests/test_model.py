@@ -50,6 +50,13 @@ def test_config_rejects_indivisible_fusion_n():
         H2Model(cfg, seed=0)
 
 
+def test_encoder_widths_are_checked_only_where_the_variant_builds_them():
+    # phc has no flat EEG stage, so eeg_hidden need not divide by n_eeg = 10
+    H2Model(tiny_model_config(variant="phc", eeg_hidden=31), seed=0)
+    with pytest.raises(ConfigError, match="d_out=31"):
+        H2Model(tiny_model_config(variant="phm", eeg_hidden=31), seed=0)
+
+
 def test_config_rejects_unknown_variant():
     with pytest.raises(ConfigError, match="variant"):
         H2Model(tiny_model_config(variant="dense"), seed=0)
@@ -247,6 +254,7 @@ def test_every_truncated_checkpoint_is_a_format_error():
         (b'"model"', b'\xff"model"'),  # not UTF-8
         (b'"model"', b'["model"'),  # not JSON
         (b'"extra":{}', b'"extra":[1]'),  # extra block is not an object
+        (b'"n_eeg":10', b'"n_eeg":"x"'),  # wrong-typed field, raised while the model is built
     ],
 )
 def test_corrupt_config_block_is_a_format_error(old, new):
@@ -256,6 +264,13 @@ def test_corrupt_config_block_is_a_format_error(old, new):
     blob_len = struct.unpack_from("<I", blob, 8)[0] + len(new) - len(old)
     with pytest.raises(FormatError, match="config block"):
         deserialize_model(patched[:8] + struct.pack("<I", blob_len) + patched[12:])
+
+
+def test_bytes_after_the_last_tensor_are_a_format_error():
+    blob = serialize_model(H2Model(tiny_model_config(), seed=6))
+    deserialize_model(blob)
+    with pytest.raises(FormatError, match="4 bytes after its last tensor"):
+        deserialize_model(blob + b"junk")
 
 
 def test_corrupt_tensor_name_or_shape_is_a_format_error():

@@ -1,10 +1,11 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hyperx.dataset import RawTrial, SyntheticSpec, generate_synthetic
-from hyperx.errors import ConfigError, TooShortError
+from hyperx.dataset import RawTrial, SyntheticSpec, TrialDataset, generate_synthetic
+from hyperx.errors import ConfigError, FormatError, TooShortError
 from hyperx.sigproc import (
     IIRFilterSpec,
     PreprocessConfig,
@@ -356,3 +357,17 @@ def test_preprocess_dataset_equals_per_trial_oracle(eleven_trials):
     )
     for name, arr in want.items():
         assert np.array_equal(getattr(got, name), arr), name
+
+
+def test_preprocess_dataset_uses_the_trials_pre_trial_ms():
+    short = generate_synthetic(SyntheticSpec(num_subjects=1, trials_per_subject=3, seed=4, pre_trial_ms=500))
+    # the dataset-level default matches none of the trials and must not be used
+    got = preprocess_dataset(TrialDataset(short.trials, pre_trial_ms=2000))
+    want = [seg for t in short.trials for seg in segment_trial(preprocess_trial(t))]
+    assert np.array_equal(got.gsr, np.stack([s["gsr"] for s in want]))
+    assert np.array_equal(got.eye, np.stack([s["eye"] for s in want]))
+
+    mixed = generate_synthetic(SyntheticSpec(num_subjects=1, trials_per_subject=2, seed=4)).trials
+    odd = replace(short.trials[0], trial_id="odd-one")
+    with pytest.raises(FormatError, match="trial odd-one: pre_trial_ms=500"):
+        preprocess_dataset(TrialDataset(mixed + [odd, short.trials[1]], pre_trial_ms=1000))
