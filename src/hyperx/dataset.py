@@ -77,18 +77,6 @@ SEGMENT_SHAPES = {
 _FORMAT_NAME = "hyperx-raw-v1"
 
 
-class DictConfig:
-    """``to_dict``/``from_dict`` of a config dataclass; tuple fields travel as JSON lists."""
-
-    def to_dict(self):
-        return {f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d):
-        tuples = {f.name for f in fields(cls) if isinstance(f.default, tuple)}
-        return cls(**{k: tuple(v) if k in tuples else v for k, v in dict(d).items()})
-
-
 @dataclass
 class RawTrial:
     """One synchronized recording at native rates, labels in {0, 1, 2}.
@@ -148,7 +136,7 @@ class TrialDataset:
 
 
 @dataclass
-class SyntheticSpec(DictConfig):
+class SyntheticSpec:
     """Deterministic class-coupled multimodal signal generator settings.
 
     The arousal label sets inter-channel phase offsets at ``arousal_freq``,
@@ -168,6 +156,13 @@ class SyntheticSpec(DictConfig):
     blink_rate: float = 1.0
     blink_ms: float = 150.0
     pre_trial_ms: int = 1000
+
+    def to_dict(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, d):
+        return cls(**d)
 
 
 def class_phase_step(label: int, n_channels: int) -> float:
@@ -312,7 +307,16 @@ class SegmentSet:
 
     def take(self, idx) -> "SegmentSet":
         idx = np.asarray(idx, dtype=np.int64)
-        return SegmentSet(*(getattr(self, f.name)[idx] for f in fields(self)))
+        return SegmentSet(
+            self.eeg[idx],
+            self.ecg[idx],
+            self.gsr[idx],
+            self.eye[idx],
+            self.arousal[idx],
+            self.valence[idx],
+            self.trial_ids[idx],
+            self.subjects[idx],
+        )
 
     def validate_shapes(self):
         for name, shape in SEGMENT_SHAPES.items():

@@ -30,12 +30,12 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import SEGMENT_SHAPES, DictConfig
+from .dataset import SEGMENT_SHAPES
 from .errors import ConfigError, DimensionError, FormatError, InputValidationError
 from .layers import BatchNorm1d, Conv1d, Dense, Dropout, PHCLayer, PHMLayer
 from .tensor import Tensor, concat, global_avg_pool, relu, reshape
@@ -57,7 +57,7 @@ _VERSION = 1
 
 
 @dataclass
-class ModelConfig(DictConfig):
+class ModelConfig:
     variant: str = "phc"
     n_eeg: int = 10
     n_ecg: int = 3
@@ -106,6 +106,21 @@ class ModelConfig(DictConfig):
                 raise ConfigError(f"fusion width {d} is not divisible by n={self.fusion_n}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
+
+    def to_dict(self):
+        out = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            out[f.name] = list(v) if isinstance(v, tuple) else v
+        return out
+
+    @classmethod
+    def from_dict(cls, d):
+        d = dict(d)
+        for key in ("eeg_channels", "ecg_channels", "eye_channels", "fusion_widths"):
+            if key in d:
+                d[key] = tuple(d[key])
+        return cls(**d)
 
 
 class _Encoder:
@@ -330,8 +345,7 @@ def deserialize_model(data: bytes) -> tuple[H2Model, dict]:
     blob = bytes(r.take(r.u32("config length"), "config block"))
     try:
         config = json.loads(blob)  # a block that is not UTF-8 raises UnicodeDecodeError
-        # a wrong-typed field raises TypeError or ValueError (ConfigError) while the model is built
-        model = H2Model(ModelConfig.from_dict(config["model"]), seed=0)
+        model_cfg = ModelConfig.from_dict(config["model"])
         extra = dict(config.get("extra", {}))  # TypeError unless the block is an object
     except (ValueError, KeyError, TypeError) as e:
         raise FormatError(f"checkpoint config block is malformed: {e!r}") from e
@@ -343,9 +357,11 @@ def deserialize_model(data: bytes) -> tuple[H2Model, dict]:
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank, f"dims of {name}"))
         data_bytes = r.take(8 * math.prod(dims), f"data of {name}")
         tensors[name] = np.frombuffer(data_bytes, dtype="<f8").reshape(dims)
-    if r.off != len(r.view):
-        raise FormatError(f"checkpoint has {len(r.view) - r.off} bytes after its last tensor")
 
+    try:
+        model = H2Model(model_cfg, seed=0)
+    except (TypeError, ValueError) as e:  # a config field of the wrong type or out of range
+        raise FormatError(f"checkpoint config block is malformed: {e!r}") from e
     for name, arr in _entries(model):
         if name not in tensors:
             raise FormatError(f"checkpoint is missing tensor {name}")

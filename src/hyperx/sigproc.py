@@ -29,9 +29,10 @@ together: stacking all trials at once doubled peak memory.
 
 from __future__ import annotations
 
+import itertools
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import signal as sps
@@ -40,12 +41,11 @@ from .dataset import (
     EYE_RATE,
     SEGMENT_SECONDS,
     TARGET_RATE,
-    DictConfig,
     RawTrial,
     SegmentSet,
     TrialDataset,
 )
-from .errors import ConfigError, FormatError, TooShortError
+from .errors import ConfigError, TooShortError
 
 __all__ = [
     "IIRFilterSpec",
@@ -151,7 +151,7 @@ def merge_eyes(eye: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class PreprocessConfig(DictConfig):
+class PreprocessConfig:
     eeg_band: tuple = (1.0, 45.0)
     ecg_band: tuple = (0.5, 45.0)
     gsr_lowpass_hz: float = 60.0
@@ -161,6 +161,17 @@ class PreprocessConfig(DictConfig):
     baseline_ms: float = 200.0
     segment_seconds: float = float(SEGMENT_SECONDS)
     segment_overlap_seconds: float = 0.0
+
+    def to_dict(self):
+        return {f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, d):
+        d = dict(d)
+        for key in ("eeg_band", "ecg_band"):
+            if key in d:
+                d[key] = tuple(d[key])
+        return cls(**d)
 
 
 @dataclass
@@ -260,25 +271,21 @@ BLOCK_TRIALS = 8
 def preprocess_dataset(ds: TrialDataset, cfg: PreprocessConfig | None = None) -> SegmentSet:
     """Preprocess and segment every trial, one filter pass per block of trials.
 
-    A block takes its pre-trial context from its trials, never from
-    ``ds.pre_trial_ms``, so all trials must agree on it.
+    A block is at most ``BLOCK_TRIALS`` consecutive trials that share their
+    own ``pre_trial_ms`` (never ``ds.pre_trial_ms``, which a hand-built
+    dataset may not match); a trial whose value differs starts a new block.
     """
     cfg = cfg or PreprocessConfig()
-    trials = ds.trials
-    for t in trials:
-        if t.pre_trial_ms != trials[0].pre_trial_ms:
-            raise FormatError(
-                f"trial {t.trial_id}: pre_trial_ms={t.pre_trial_ms} differs from "
-                f"{trials[0].pre_trial_ms} of trial {trials[0].trial_id}"
-            )
     flat = []
-    for start in range(0, len(trials), BLOCK_TRIALS):
-        block = trials[start : start + BLOCK_TRIALS]
-        stacked = (np.stack([t.modality(name) for t in block]) for name in ("eeg", "ecg", "gsr", "eye"))
-        arrays = _chain(*stacked, block[0].pre_trial_ms, cfg)
-        for i, t in enumerate(block):
-            pt = PreprocessedTrial(t.trial_id, t.subject, t.arousal, t.valence, *(a[i] for a in arrays))
-            flat += segment_trial(pt, cfg.segment_seconds, cfg.segment_overlap_seconds)
+    for pre_trial_ms, run in itertools.groupby(ds.trials, key=lambda t: t.pre_trial_ms):
+        run = list(run)
+        for start in range(0, len(run), BLOCK_TRIALS):
+            block = run[start : start + BLOCK_TRIALS]
+            stacked = (np.stack([t.modality(name) for t in block]) for name in ("eeg", "ecg", "gsr", "eye"))
+            arrays = _chain(*stacked, pre_trial_ms, cfg)
+            for i, t in enumerate(block):
+                pt = PreprocessedTrial(t.trial_id, t.subject, t.arousal, t.valence, *(a[i] for a in arrays))
+                flat += segment_trial(pt, cfg.segment_seconds, cfg.segment_overlap_seconds)
     if not flat:
         raise ConfigError("no segments produced; are the trials long enough?")
     return SegmentSet(

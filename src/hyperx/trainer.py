@@ -16,11 +16,11 @@ from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dataset import DictConfig, SegmentSet, augment_segments
+from .dataset import SegmentSet, augment_segments
 from .errors import ConfigError, GradientError
 from .model import H2Model, serialize_model
 from .tensor import clear_tape, no_grad, softmax_cross_entropy, zero_grads
@@ -41,7 +41,7 @@ __all__ = [
 
 
 @dataclass
-class TrainConfig(DictConfig):
+class TrainConfig:
     max_lr: float = 7.96e-6
     pct_start: float = 0.475
     div_factor: float = 10.0
@@ -70,6 +70,13 @@ class TrainConfig(DictConfig):
             raise ConfigError(f"patience {self.patience} exceeds epochs {self.epochs}")
         if self.target not in ("arousal", "valence"):
             raise ConfigError(f"target must be arousal or valence, got {self.target!r}")
+
+    def to_dict(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, d):
+        return cls(**d)
 
 
 def one_cycle(step: int, total_steps: int, cfg: TrainConfig) -> tuple[float, float]:

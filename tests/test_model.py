@@ -266,13 +266,6 @@ def test_corrupt_config_block_is_a_format_error(old, new):
         deserialize_model(patched[:8] + struct.pack("<I", blob_len) + patched[12:])
 
 
-def test_bytes_after_the_last_tensor_are_a_format_error():
-    blob = serialize_model(H2Model(tiny_model_config(), seed=6))
-    deserialize_model(blob)
-    with pytest.raises(FormatError, match="4 bytes after its last tensor"):
-        deserialize_model(blob + b"junk")
-
-
 def test_corrupt_tensor_name_or_shape_is_a_format_error():
     model = H2Model(tiny_model_config(), seed=6)
     blob = serialize_model(model)

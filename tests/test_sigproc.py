@@ -1,11 +1,10 @@
 import hashlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hyperx.dataset import RawTrial, SyntheticSpec, TrialDataset, generate_synthetic
-from hyperx.errors import ConfigError, FormatError, TooShortError
+from hyperx.errors import ConfigError, TooShortError
 from hyperx.sigproc import (
     IIRFilterSpec,
     PreprocessConfig,
@@ -342,9 +341,9 @@ def test_preprocess_dataset_bytes_are_golden(eleven_trials):
     assert digest.hexdigest() == SEGMENTS_GOLDEN_SHA256
 
 
-def test_preprocess_dataset_equals_per_trial_oracle(eleven_trials):
-    got = preprocess_dataset(eleven_trials)
-    flat = [seg for t in eleven_trials.trials for seg in segment_trial(preprocess_trial(t))]
+def _assert_equals_per_trial_oracle(ds):
+    got = preprocess_dataset(ds)
+    flat = [seg for t in ds.trials for seg in segment_trial(preprocess_trial(t))]
     want = dict(
         eeg=np.stack([s["eeg"] for s in flat]),
         ecg=np.stack([s["ecg"] for s in flat]),
@@ -359,15 +358,15 @@ def test_preprocess_dataset_equals_per_trial_oracle(eleven_trials):
         assert np.array_equal(getattr(got, name), arr), name
 
 
-def test_preprocess_dataset_uses_the_trials_pre_trial_ms():
-    short = generate_synthetic(SyntheticSpec(num_subjects=1, trials_per_subject=3, seed=4, pre_trial_ms=500))
-    # the dataset-level default matches none of the trials and must not be used
-    got = preprocess_dataset(TrialDataset(short.trials, pre_trial_ms=2000))
-    want = [seg for t in short.trials for seg in segment_trial(preprocess_trial(t))]
-    assert np.array_equal(got.gsr, np.stack([s["gsr"] for s in want]))
-    assert np.array_equal(got.eye, np.stack([s["eye"] for s in want]))
+def test_preprocess_dataset_equals_per_trial_oracle(eleven_trials):
+    _assert_equals_per_trial_oracle(eleven_trials)
 
-    mixed = generate_synthetic(SyntheticSpec(num_subjects=1, trials_per_subject=2, seed=4)).trials
-    odd = replace(short.trials[0], trial_id="odd-one")
-    with pytest.raises(FormatError, match="trial odd-one: pre_trial_ms=500"):
-        preprocess_dataset(TrialDataset(mixed + [odd, short.trials[1]], pre_trial_ms=1000))
+
+def test_preprocess_dataset_uses_each_trials_own_pre_trial_ms():
+    short = generate_synthetic(SyntheticSpec(num_subjects=1, trials_per_subject=3, seed=4, pre_trial_ms=500))
+    long = generate_synthetic(SyntheticSpec(num_subjects=1, trials_per_subject=3, seed=5)).trials
+    # the dataset-level default matches none of the trials and must not be used
+    _assert_equals_per_trial_oracle(TrialDataset(short.trials, pre_trial_ms=2000))
+    # trials that disagree on pre_trial_ms, in runs that alternate, each keep their own
+    mixed = long[:2] + short.trials + long[2:]
+    _assert_equals_per_trial_oracle(TrialDataset(mixed, pre_trial_ms=2000))
