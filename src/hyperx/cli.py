@@ -378,6 +378,8 @@ def _gradcheck_battery(args):
     if wanted in (None, "phc"):
         for n in ([args.n] if args.n else [2, 4]):
             layer_check(f"phc n={n}", PHCLayer(n, 2 * n, n, 3, rng, stride=1, padding=1), (2, n, 10))
+            # the encoders' own geometry
+            layer_check(f"phc n={n} k=7 stride=2 padding=3", PHCLayer(n, 2 * n, n, 7, rng, stride=2, padding=3), (2, n, 20))
     if wanted in (None, "bn"):
         bn = BatchNorm1d(5)
         x3 = Tensor(rng.standard_normal((4, 5, 6)), requires_grad=True)

@@ -124,7 +124,6 @@ class TrialDataset:
     trials: list[RawTrial]
     pre_trial_ms: int = 1000
     synthetic_spec: dict | None = None
-    splits: dict | None = None
 
     def __len__(self):
         return len(self.trials)
@@ -432,7 +431,6 @@ def save_dataset(ds: TrialDataset, path) -> Path:
         "trial_seconds": TRIAL_SECONDS,
         "pre_trial_ms": ds.pre_trial_ms,
         "synthetic_spec": ds.synthetic_spec,
-        "splits": ds.splits,
         "trials": trial_entries,
     }
     (root / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
@@ -506,12 +504,7 @@ def load_dataset(path) -> TrialDataset:
         )
         tr.validate()
         trials.append(tr)
-    return TrialDataset(
-        trials,
-        pre_trial_ms=pre_ms,
-        synthetic_spec=manifest.get("synthetic_spec"),
-        splits=manifest.get("splits"),
-    )
+    return TrialDataset(trials, pre_trial_ms=pre_ms, synthetic_spec=manifest.get("synthetic_spec"))
 
 
 def manifest_hash(path) -> str:

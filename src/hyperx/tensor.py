@@ -405,36 +405,29 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
         )
     Lout = (Lp - K) // stride + 1
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
-    # windows[b, c, l, k] = xp[b, c, l*stride + k]
-    windows = np.lib.stride_tricks.sliding_window_view(xp, K, axis=2)[:, :, ::stride, :]
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(B * Lout, Cin * K)
+    # cols[b, c, k, l] = xp[b, c, l*stride + k]: K strided slice copies, no transpose
+    span = stride * (Lout - 1) + 1
+    cols = np.empty((B, Cin, K, Lout))
+    for k in range(K):
+        cols[:, :, k, :] = xp[:, :, k : k + span : stride]
+    cols = cols.reshape(B, Cin * K, Lout)
     wr = w.data.reshape(Cout, Cin * K)
-    y = (cols @ wr.T).reshape(B, Lout, Cout).transpose(0, 2, 1)  # [B, Cout, Lout]
-
-    g2_memo = []
-
-    def g2_of(g):
-        # vjp_x and vjp_w receive the same upstream array; reshape it once
-        if g2_memo and g2_memo[0] is g:
-            return g2_memo[1]
-        g2 = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(B * Lout, Cout)
-        g2_memo[:] = [g, g2]
-        return g2
+    y = np.matmul(wr, cols)  # C-contiguous [B, Cout, Lout]
 
     def vjp_w(g):
-        return (g2_of(g).T @ cols).reshape(w.data.shape)
+        return np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape)
 
     def vjp_x(g):
-        # dcols laid out [B, Cin, K, Lout] so each tap scatters contiguously
-        dcols = np.ascontiguousarray((g2_of(g) @ wr).reshape(B, Lout, Cin, K).transpose(0, 2, 3, 1))
+        # dcols comes out as [B, Cin, K, Lout], so each tap scatters one strided slice
+        dcols = np.matmul(wr.T, g).reshape(B, Cin, K, Lout)
         dxp = np.zeros((B, Cin, Lp))
         for k in range(K):
-            dxp[:, :, k : k + stride * Lout : stride] += dcols[:, :, k, :]
+            dxp[:, :, k : k + span : stride] += dcols[:, :, k, :]
         return dxp[:, :, padding : padding + L] if padding else dxp
 
     vjps = [(x, vjp_x), (w, vjp_w)]
     if b is not None:
-        y = y + b.data[None, :, None]
+        y += b.data[:, None]
         vjps.append((b, lambda g: g.sum(axis=(0, 2))))
     return _make_output(y, vjps)
 
@@ -462,52 +455,68 @@ def batch_norm(
     """
     nd = x.data.ndim
     if nd == 2:
-        axes, shape_c = (0,), (1, -1)
+        axes, shape_c, sub = (0,), (1, -1), "bc,bc->c"
     elif nd == 3:
-        axes, shape_c = (0, 2), (1, -1, 1)
+        axes, shape_c, sub = (0, 2), (1, -1, 1), "bcl,bcl->c"
     else:
         raise RankError(f"batch_norm needs [B,C] or [B,C,L], got shape {x.data.shape}")
     B = x.data.shape[0]
     C = x.data.shape[1]
     if gamma.data.shape != (C,) or beta.data.shape != (C,):
         raise DimensionError(f"batch_norm affine shapes {gamma.data.shape}/{beta.data.shape} do not match C={C}")
-    gm = gamma.data.reshape(shape_c)
-    bt = beta.data.reshape(shape_c)
 
-    if train:
-        if B < 2:
-            raise DegenerateBatchError(f"batch_norm in train mode needs batch size >= 2, got {B}")
-        mu = x.data.mean(axis=axes, keepdims=True)
-        xmu = x.data - mu
-        var = (xmu * xmu).mean(axis=axes, keepdims=True)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu.reshape(C)
-        running_var *= 1.0 - momentum
-        running_var += momentum * var.reshape(C)
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat = xmu * inv
-        y = gm * xhat + bt
+    if not train:
+        # eval mode is affine: fold the running statistics into one scale and shift
+        inv = 1.0 / np.sqrt(running_var + eps)
+        scale = (gamma.data * inv).reshape(shape_c)
+        mean_c = running_mean.reshape(shape_c).copy()
+        y = x.data * scale
+        y += beta.data.reshape(shape_c) - mean_c * scale
+        return _make_output(
+            y,
+            [
+                (x, lambda g: g * scale),
+                (gamma, lambda g: np.einsum(sub, g, x.data - mean_c) * inv),
+                (beta, lambda g: g.sum(axis=axes)),
+            ],
+        )
 
-        def vjp_x(g):
-            # dx = inv*gamma*(g - mean(g) - xhat*mean(g*xhat)) over the batch axes
-            gx = g * gm
-            return inv * (gx - gx.mean(axis=axes, keepdims=True) - xhat * (gx * xhat).mean(axis=axes, keepdims=True))
+    if B < 2:
+        raise DegenerateBatchError(f"batch_norm in train mode needs batch size >= 2, got {B}")
+    n = x.data.size // C
+    mu = x.data.mean(axis=axes)
+    xhat = x.data - mu.reshape(shape_c)
+    var = np.einsum(sub, xhat, xhat) / n
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mu
+    running_var *= 1.0 - momentum
+    running_var += momentum * var
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv.reshape(shape_c)
+    y = xhat * gamma.data.reshape(shape_c)
+    y += beta.data.reshape(shape_c)
+    scale = (gamma.data * inv).reshape(shape_c)
 
-    else:
-        inv = 1.0 / np.sqrt(running_var.reshape(shape_c) + eps)
-        xhat = (x.data - running_mean.reshape(shape_c)) * inv
-        y = gm * xhat + bt
+    sums_memo = []
 
-        def vjp_x(g):
-            return g * gm * inv
+    def sums(g):
+        # (sum g, sum g*xhat) per channel, computed once per upstream array
+        if not sums_memo or sums_memo[0] is not g:
+            sums_memo[:] = [g, g.sum(axis=axes), np.einsum(sub, g, xhat)]
+        return sums_memo[1], sums_memo[2]
+
+    def vjp_x(g):
+        # dx = (g - xhat*mean(g*xhat) - mean(g)) * gamma * inv over the batch axes
+        sg, sgx = sums(g)
+        dx = xhat * (sgx / n).reshape(shape_c)
+        np.subtract(g, dx, out=dx)
+        dx -= (sg / n).reshape(shape_c)
+        dx *= scale
+        return dx
 
     return _make_output(
         y,
-        [
-            (x, vjp_x),
-            (gamma, lambda g: (g * xhat).sum(axis=axes)),
-            (beta, lambda g: g.sum(axis=axes)),
-        ],
+        [(x, vjp_x), (gamma, lambda g: sums(g)[1]), (beta, lambda g: sums(g)[0])],
     )
 
 

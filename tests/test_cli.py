@@ -179,6 +179,13 @@ def test_gradcheck_quick_layers_pass():
     assert main(["gradcheck", "--layer", "phm", "--n", "4", "--hamilton"]) == 0
 
 
+def test_gradcheck_covers_the_encoder_conv_geometry(capsys):
+    assert main(["gradcheck", "--layer", "phc", "--n", "2"]) == 0
+    out = capsys.readouterr().out
+    for target in ("x", "A", "F", "b"):
+        assert f"PASS phc n=2 k=7 stride=2 padding=3.{target}:" in out
+
+
 def test_gradcheck_break_backward_fails():
     assert main(["gradcheck", "--layer", "dense", "--break-backward"]) == 3
 

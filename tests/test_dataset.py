@@ -216,6 +216,17 @@ def test_save_load_roundtrip(tmp_path):
     assert loaded.synthetic_spec == data.synthetic_spec
 
 
+def test_manifest_splits_key_is_gone_but_old_manifests_still_load(tmp_path):
+    data = generate_synthetic(SMALL)
+    root = save_dataset(data, tmp_path / "ds")
+    manifest = json.loads((root / "manifest.json").read_text())
+    assert "splits" not in manifest
+    # manifests written before the key was dropped carry it as null
+    manifest["splits"] = None
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    assert len(load_dataset(root).trials) == len(data.trials)
+
+
 def test_save_twice_is_byte_identical(tmp_path):
     a = save_dataset(generate_synthetic(SMALL), tmp_path / "a")
     b = save_dataset(generate_synthetic(SMALL), tmp_path / "b")

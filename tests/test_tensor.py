@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperx.errors import DegenerateBatchError, DimensionError, LabelError, RankError
 from hyperx.tensor import (
@@ -128,6 +130,49 @@ def test_conv1d_output_length():
     assert y.shape == (1, 3, (13 + 4 - 4) // 3 + 1)
 
 
+@st.composite
+def conv_geometries(draw):
+    k = draw(st.integers(1, 7))
+    padding = draw(st.integers(0, 3))
+    length = draw(st.integers(max(1, k - 2 * padding), 20))
+    return dict(
+        batch=draw(st.integers(1, 3)),
+        c_in=draw(st.integers(1, 4)),
+        c_out=draw(st.integers(1, 4)),
+        length=length,
+        k=k,
+        stride=draw(st.integers(1, 3)),
+        padding=padding,
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+# the encoders' own geometry: kernel 7, stride 2, padding 3
+ENCODER_GEOMETRY = dict(batch=2, c_in=4, c_out=3, length=19, k=7, stride=2, padding=3, seed=0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(conv_geometries())
+@example(ENCODER_GEOMETRY)
+def test_conv1d_property_forward_and_vjps(geom):
+    rng = np.random.default_rng(geom["seed"])
+    x = Tensor(rng.standard_normal((geom["batch"], geom["c_in"], geom["length"])), requires_grad=True)
+    w = Tensor(rng.standard_normal((geom["c_out"], geom["c_in"], geom["k"])), requires_grad=True)
+    b = Tensor(rng.standard_normal(geom["c_out"]), requires_grad=True)
+    stride, padding = geom["stride"], geom["padding"]
+    y = conv1d(x, w, b, stride=stride, padding=padding).data
+    np.testing.assert_allclose(y, conv_loop_oracle(x.data, w.data, b.data, stride, padding), atol=1e-12)
+    # a random upstream array, so every output element weighs differently
+    g = Tensor(rng.standard_normal(y.shape))
+
+    def f(_t):
+        return tensor_sum(mul(conv1d(x, w, b, stride=stride, padding=padding), g))
+
+    for target in (x, w, b):
+        report = grad_check(f, target, tol=1e-6, max_probes=48)
+        assert report.passed, (target.shape, report)
+
+
 # ---------------------------------------------------------------------------
 # elementwise / reductions
 # ---------------------------------------------------------------------------
@@ -211,6 +256,92 @@ def test_batch_norm_updates_running_stats():
     batch_norm(x, gamma, beta, rm, rv, train=True, momentum=0.1)
     np.testing.assert_allclose(rm, 0.1 * x.data.mean(axis=0), atol=1e-12)
     np.testing.assert_allclose(rv, 0.9 * 1.0 + 0.1 * x.data.var(axis=0), atol=1e-12)
+
+
+def _bn_reference(x, gamma, beta, eps=1e-5):
+    """Train-mode batch norm written out with numpy's own mean and var."""
+    axes = (0,) if x.ndim == 2 else (0, 2)
+    shape_c = (1, -1) if x.ndim == 2 else (1, -1, 1)
+    mu = x.mean(axis=axes)
+    var = x.var(axis=axes)
+    y = (x - mu.reshape(shape_c)) / np.sqrt(var.reshape(shape_c) + eps)
+    return y * gamma.reshape(shape_c) + beta.reshape(shape_c), mu, var
+
+
+BN_SHAPES = [(6, 3), (5, 4, 7)]
+
+
+@pytest.mark.parametrize("shape", BN_SHAPES)
+def test_batch_norm_train_matches_numpy_reference(shape):
+    rng = np.random.default_rng(12)
+    x = 2.0 + 3.0 * rng.standard_normal(shape)
+    gamma, beta = rng.standard_normal(shape[1]), rng.standard_normal(shape[1])
+    rm, rv = rng.standard_normal(shape[1]), 1.0 + rng.random(shape[1])
+    rm0, rv0 = rm.copy(), rv.copy()
+    y = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), rm, rv, train=True, momentum=0.2).data
+    want, mu, var = _bn_reference(x, gamma, beta)
+    np.testing.assert_allclose(y, want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(rm, 0.8 * rm0 + 0.2 * mu, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(rv, 0.8 * rv0 + 0.2 * var, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", BN_SHAPES)
+def test_batch_norm_eval_matches_numpy_reference(shape):
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal(shape)
+    gamma, beta = rng.standard_normal(shape[1]), rng.standard_normal(shape[1])
+    rm, rv = rng.standard_normal(shape[1]), 1.0 + rng.random(shape[1])
+    shape_c = (1, -1) if len(shape) == 2 else (1, -1, 1)
+    y = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), rm.copy(), rv.copy(), train=False).data
+    want = (x - rm.reshape(shape_c)) / np.sqrt(rv.reshape(shape_c) + 1e-5) * gamma.reshape(shape_c)
+    np.testing.assert_allclose(y, want + beta.reshape(shape_c), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("shape", BN_SHAPES)
+def test_batch_norm_grad_check_with_one_upstream_for_all_inputs(shape, train):
+    # x, gamma and beta all require grad, so every backward hands the same
+    # upstream array to the three VJPs
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.standard_normal(shape), requires_grad=True)
+    gamma = Tensor(1.0 + rng.standard_normal(shape[1]), requires_grad=True)
+    beta = Tensor(rng.standard_normal(shape[1]), requires_grad=True)
+    rm, rv = rng.standard_normal(shape[1]), 1.0 + rng.random(shape[1])
+    g = Tensor(rng.standard_normal(shape))
+
+    def f(_t):
+        return tensor_sum(mul(batch_norm(x, gamma, beta, rm, rv, train=train), g))
+
+    for target in (x, gamma, beta):
+        report = grad_check(f, target, tol=1e-6, max_probes=64)
+        assert report.passed, (target.shape, report)
+
+
+@pytest.mark.parametrize("shape", BN_SHAPES)
+def test_batch_norm_second_backward_does_not_reuse_first_upstream(shape):
+    rng = np.random.default_rng(15)
+    x_data = rng.standard_normal(shape)
+    g1, g2 = rng.standard_normal(shape), rng.standard_normal(shape)
+
+    def grads(upstreams):
+        x = Tensor(x_data, requires_grad=True)
+        gamma = Tensor(np.linspace(0.5, 1.5, shape[1]), requires_grad=True)
+        beta = Tensor(np.zeros(shape[1]), requires_grad=True)
+        rm, rv = np.zeros(shape[1]), np.ones(shape[1])
+        out = []
+        with tape_scope():
+            y = batch_norm(x, gamma, beta, rm, rv, train=True)
+            for g in upstreams:
+                zero_grads([x, gamma, beta])
+                backward(tensor_sum(mul(y, Tensor(g))))
+                out.append((x.grad, gamma.grad, beta.grad))
+        return out
+
+    first, second = grads([g1, g2])
+    (alone,) = grads([g2])
+    for got, want in zip(second, alone):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert not np.allclose(first[0], second[0])
 
 
 def test_batch_norm_degenerate_batch():

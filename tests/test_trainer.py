@@ -287,3 +287,23 @@ def test_train_nan_loss_aborts_with_last_good_checkpoint(tiny_segments):
         result = train(model, tr, te, cfg)
     assert result.aborted == "nan-loss"
     assert result.best_checkpoint  # falls back to a serialized model
+
+
+# A fixed-seed one-epoch phc run. Rewriting a hot-path op may reorder float64
+# sums, which moves the loss by rounding only, and must change no prediction.
+PINNED_PHC_LOSS = 2.3576811396844324
+PINNED_PHC_METRICS = {
+    "accuracy": 1 / 3,
+    "macro_f1": 0.3,
+    "confusion": [[0, 0, 4], [2, 1, 1], [1, 0, 3]],
+    "n": 12,
+}
+
+
+def test_phc_one_epoch_train_is_pinned(tiny_segments):
+    cfg = _tiny_train_cfg(epochs=1, patience=1)
+    tr, te = split_segments(tiny_segments, cfg.target, cfg.train_frac, cfg.split_seed)
+    result = train(H2Model(tiny_model_config(variant="phc"), seed=0), tr, te, cfg)
+    assert result.history[-1]["train_loss"] == pytest.approx(PINNED_PHC_LOSS, rel=1e-9, abs=0.0)
+    got = result.best_metrics.to_dict()
+    assert {k: got[k] for k in PINNED_PHC_METRICS} == PINNED_PHC_METRICS
