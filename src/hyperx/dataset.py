@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import JsonConfig
 from .errors import FormatError, IntegrityError, StratificationError
 
 __all__ = [
@@ -135,7 +136,7 @@ class TrialDataset:
 
 
 @dataclass
-class SyntheticSpec:
+class SyntheticSpec(JsonConfig):
     """Deterministic class-coupled multimodal signal generator settings.
 
     The arousal label sets inter-channel phase offsets at ``arousal_freq``,
@@ -155,13 +156,6 @@ class SyntheticSpec:
     blink_rate: float = 1.0
     blink_ms: float = 150.0
     pre_trial_ms: int = 1000
-
-    def to_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 def class_phase_step(label: int, n_channels: int) -> float:
@@ -266,7 +260,7 @@ def _phase_vote(x: np.ndarray, fs: float, freq: float) -> int:
 
 def phase_oracle_labels(ds: TrialDataset, target: str, spec: SyntheticSpec | None = None) -> np.ndarray:
     """Analytic label recovery from raw EEG inter-channel phase differences."""
-    spec = spec or SyntheticSpec.from_dict(ds.synthetic_spec)
+    spec = spec or SyntheticSpec.from_dict(ds.synthetic_spec, "manifest synthetic_spec")
     freq = spec.arousal_freq if target == "arousal" else spec.valence_freq
     pre = int(round(256 * ds.pre_trial_ms / 1000.0))
     return np.array([_phase_vote(tr.eeg[:, pre:], 256.0, freq) for tr in ds.trials])
@@ -306,16 +300,7 @@ class SegmentSet:
 
     def take(self, idx) -> "SegmentSet":
         idx = np.asarray(idx, dtype=np.int64)
-        return SegmentSet(
-            self.eeg[idx],
-            self.ecg[idx],
-            self.gsr[idx],
-            self.eye[idx],
-            self.arousal[idx],
-            self.valence[idx],
-            self.trial_ids[idx],
-            self.subjects[idx],
-        )
+        return SegmentSet(*(getattr(self, f.name)[idx] for f in fields(SegmentSet)))
 
     def validate_shapes(self):
         for name, shape in SEGMENT_SHAPES.items():

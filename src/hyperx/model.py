@@ -30,11 +30,12 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .config import JsonConfig
 from .dataset import SEGMENT_SHAPES
 from .errors import ConfigError, DimensionError, FormatError, InputValidationError
 from .layers import BatchNorm1d, Conv1d, Dense, Dropout, PHCLayer, PHMLayer
@@ -57,7 +58,7 @@ _VERSION = 1
 
 
 @dataclass
-class ModelConfig:
+class ModelConfig(JsonConfig):
     variant: str = "phc"
     n_eeg: int = 10
     n_ecg: int = 3
@@ -99,6 +100,9 @@ class ModelConfig:
     def validate(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown encoder variant {self.variant!r}; choose from {VARIANTS}")
+        for name in ("eeg", "ecg", "eye"):
+            if len(self.conv_channels(name)) != 2:
+                raise ConfigError(f"{name}_channels must list two widths, got {list(self.conv_channels(name))}")
         # encoder widths are checked against n by the hypercomplex layers the variant builds
         width = self.fusion_input_width()
         for d in (width, *self.fusion_widths):
@@ -106,21 +110,6 @@ class ModelConfig:
                 raise ConfigError(f"fusion width {d} is not divisible by n={self.fusion_n}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-
-    def to_dict(self):
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        for key in ("eeg_channels", "ecg_channels", "eye_channels", "fusion_widths"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return cls(**d)
 
 
 class _Encoder:
@@ -345,10 +334,11 @@ def deserialize_model(data: bytes) -> tuple[H2Model, dict]:
     blob = bytes(r.take(r.u32("config length"), "config block"))
     try:
         config = json.loads(blob)  # a block that is not UTF-8 raises UnicodeDecodeError
-        model_cfg = ModelConfig.from_dict(config["model"])
-        extra = dict(config.get("extra", {}))  # TypeError unless the block is an object
-    except (ValueError, KeyError, TypeError) as e:
+    except ValueError as e:
         raise FormatError(f"checkpoint config block is malformed: {e!r}") from e
+    if not isinstance(config, dict) or not isinstance(extra := config.get("extra", {}), dict):
+        raise FormatError("checkpoint config block is not a JSON object with an object 'extra'")
+    model_cfg = ModelConfig.from_dict(config.get("model"), "checkpoint config block 'model'")
     tensors = {}
     for _ in range(r.u32("tensor count")):
         # a name that is not UTF-8 decodes with U+FFFD and then matches no tensor below

@@ -32,11 +32,12 @@ from __future__ import annotations
 import itertools
 import os
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal as sps
 
+from .config import JsonConfig
 from .dataset import (
     EYE_RATE,
     SEGMENT_SECONDS,
@@ -151,7 +152,7 @@ def merge_eyes(eye: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class PreprocessConfig:
+class PreprocessConfig(JsonConfig):
     eeg_band: tuple = (1.0, 45.0)
     ecg_band: tuple = (0.5, 45.0)
     gsr_lowpass_hz: float = 60.0
@@ -161,17 +162,6 @@ class PreprocessConfig:
     baseline_ms: float = 200.0
     segment_seconds: float = float(SEGMENT_SECONDS)
     segment_overlap_seconds: float = 0.0
-
-    def to_dict(self):
-        return {f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        for key in ("eeg_band", "ecg_band"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return cls(**d)
 
 
 @dataclass
@@ -184,6 +174,14 @@ class PreprocessedTrial:
     ecg: np.ndarray  # [3,  30 s * 128]
     gsr: np.ndarray  # [1,  30 s * 128]
     eye: np.ndarray  # [4,  30 s * 60]
+
+
+def _bandpass(cfg: PreprocessConfig, key: str) -> IIRFilterSpec:
+    """The band-pass filter of config field ``key``, a [low, high] pair in Hz."""
+    band = getattr(cfg, key)
+    if len(band) != 2:
+        raise ConfigError(f"{key} must be two corner frequencies [low, high], got {list(band)}")
+    return IIRFilterSpec("bandpass", *band, order=cfg.filter_order)
 
 
 def _chain(eeg, ecg, gsr, eye, pre_trial_ms: int, cfg: PreprocessConfig):
@@ -199,8 +197,8 @@ def _chain(eeg, ecg, gsr, eye, pre_trial_ms: int, cfg: PreprocessConfig):
     gsr = downsample_by2(gsr, 256.0)
 
     eeg = average_reference(eeg)
-    eeg = apply_filter(eeg, IIRFilterSpec("bandpass", *cfg.eeg_band, order=cfg.filter_order), float(TARGET_RATE))
-    ecg = apply_filter(ecg, IIRFilterSpec("bandpass", *cfg.ecg_band, order=cfg.filter_order), float(TARGET_RATE))
+    eeg = apply_filter(eeg, _bandpass(cfg, "eeg_band"), float(TARGET_RATE))
+    ecg = apply_filter(ecg, _bandpass(cfg, "ecg_band"), float(TARGET_RATE))
 
     notch = IIRFilterSpec("notch", high=cfg.notch_hz, notch_q=cfg.notch_q)
     eeg = apply_filter(eeg, notch, float(TARGET_RATE))

@@ -16,10 +16,11 @@ from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import JsonConfig
 from .dataset import SegmentSet, augment_segments
 from .errors import ConfigError, GradientError
 from .model import H2Model, serialize_model
@@ -41,7 +42,7 @@ __all__ = [
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(JsonConfig):
     max_lr: float = 7.96e-6
     pct_start: float = 0.475
     div_factor: float = 10.0
@@ -70,13 +71,6 @@ class TrainConfig:
             raise ConfigError(f"patience {self.patience} exceeds epochs {self.epochs}")
         if self.target not in ("arousal", "valence"):
             raise ConfigError(f"target must be arousal or valence, got {self.target!r}")
-
-    def to_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 def one_cycle(step: int, total_steps: int, cfg: TrainConfig) -> tuple[float, float]:
@@ -367,7 +361,7 @@ def train(
     if best_bytes is None:
         # nan on the very first batch: fall back to the untrained model
         best_bytes = serialize_model(model, extra={"train_config": cfg.to_dict(), "epoch": 0})
-        best_metrics = evaluate(model, test_segs, cfg.target) if len(test_segs) else None
+        best_metrics = evaluate(model, test_segs, cfg.target)
     return TrainResult(
         best_checkpoint=best_bytes,
         best_epoch=stopper.best_epoch,

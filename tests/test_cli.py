@@ -7,6 +7,7 @@ import pytest
 
 from hyperx.cli import main
 from hyperx.dataset import load_dataset
+from hyperx.model import H2Model, save_checkpoint
 
 from tests.conftest import tiny_model_config
 
@@ -174,9 +175,19 @@ def test_usage_errors_exit_1(capsys):
     assert exc.value.code == 1
 
 
-def test_gradcheck_quick_layers_pass():
+def test_gradcheck_quick_layers_pass(capsys):
     assert main(["gradcheck", "--layer", "dense"]) == 0
-    assert main(["gradcheck", "--layer", "phm", "--n", "4", "--hamilton"]) == 0
+    assert main(["gradcheck", "--layer", "phm", "--n", "4"]) == 0
+    assert "PASS phm n=4 hamilton vs quaternion oracle" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flag", [["--hamilton"], ["--tol", "1e-6"], ["--full-tol", "1e-4"], ["--probes", "24"], ["--full-probes", "6"]]
+)
+def test_gradcheck_tolerance_and_oracle_flags_are_gone(flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", "--layer", "dense", *flag])
+    assert exc.value.code == 1
 
 
 def test_gradcheck_covers_the_encoder_conv_geometry(capsys):
@@ -224,6 +235,10 @@ def test_manifest_without_pre_trial_ms_is_data_error(tmp_path, raw_dir):
         ({"preprocess": {"gsr_lowpass_at_native_rate": False}}, "gsr_lowpass_at_native_rate"),
         ({"preprocess": [1]}, "'preprocess' is not a JSON object"),
         ([1, 2], "is not a JSON object"),
+        ({"model": {"fusion_n": "4"}}, "fusion_n"),
+        ({"preprocess": {"filter_order": "4"}}, "filter_order"),
+        ({"train": {"train_frac": "x"}}, "train_frac"),
+        ({"model": {"eeg_channels": 5}}, "eeg_channels"),
     ],
 )
 def test_bad_config_file_is_data_error(tmp_path, raw_dir, capsys, payload, match):
@@ -236,6 +251,39 @@ def test_bad_config_file_is_data_error(tmp_path, raw_dir, capsys, payload, match
     ):
         assert main(argv) == 2
         assert match in capsys.readouterr().err
+
+
+def test_non_utf8_config_file_is_data_error(tmp_path, raw_dir, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"train": {"target": "\xff"}}')
+    assert main(["preprocess", "--data", str(raw_dir), "--out", str(tmp_path / "s.npz"), "--config", str(cfg)]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("model", "eeg_channels", []),
+        ("model", "eeg_channels", [40, 160, 320]),
+        ("preprocess", "eeg_band", [1, 45, 3]),
+    ],
+)
+def test_wrong_length_tuple_field_is_config_error(tmp_path, raw_dir, capsys, section, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: {key: value}}))
+    assert main(["train", "--data", str(raw_dir), "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 1
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "train_config,match",
+    [({"bogus": 1}, "bogus"), ([1, 2], "train_config is not a JSON object"), ({"train_frac": "x"}, "train_frac")],
+)
+def test_eval_malformed_checkpoint_train_config_is_data_error(tmp_path, raw_dir, capsys, train_config, match):
+    ckpt = tmp_path / "bad.h2ck"
+    save_checkpoint(H2Model(tiny_model_config(), seed=0), ckpt, extra={"train_config": train_config})
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(raw_dir), "--out", str(tmp_path / "o")]) == 2
+    assert match in capsys.readouterr().err
 
 
 def test_workers_flag_is_gone(tmp_path, raw_dir):

@@ -254,7 +254,9 @@ def test_every_truncated_checkpoint_is_a_format_error():
         (b'"model"', b'\xff"model"'),  # not UTF-8
         (b'"model"', b'["model"'),  # not JSON
         (b'"extra":{}', b'"extra":[1]'),  # extra block is not an object
-        (b'"n_eeg":10', b'"n_eeg":"x"'),  # wrong-typed field, raised while the model is built
+        (b'"n_eeg":10', b'"n_eeg":"x"'),  # wrong-typed field
+        (b'"eeg_channels":[10,20]', b'"eeg_channels":[]'),  # too few widths, raised while the model is built
+        (b'"eeg_channels":[10,20]', b'"eeg_channels":[10,20,40]'),  # too many widths
     ],
 )
 def test_corrupt_config_block_is_a_format_error(old, new):
