@@ -11,7 +11,7 @@ from hyperx.tensor import (
     Tensor,
     backward,
     grad_check,
-    matmul,
+    linear,
     relu,
     tape_scope,
     tensor_sum,
@@ -23,7 +23,7 @@ print("== a tiny graph, by hand ==")
 x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
 w = Tensor([[0.5, -1.0], [2.0, 0.0]], requires_grad=True)
 with tape_scope():
-    loss = tensor_sum(relu(matmul(x, w)))
+    loss = tensor_sum(relu(linear(x, w)))  # sum(relu(x @ w.T))
     backward(loss)
 print("loss      :", loss.item())
 print("dloss/dx  :\n", x.grad)

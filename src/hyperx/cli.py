@@ -77,6 +77,9 @@ def _write_run_json(outdir: Path, command: str, resolved: dict, data_path=None, 
     )
 
 
+_SECTIONS = {"model": ModelConfig, "train": TrainConfig, "preprocess": sigproc.PreprocessConfig}
+
+
 def _load_config_file(path) -> dict:
     """The ``model``, ``train`` and ``preprocess`` configs of the JSON file at
     ``path``, each section checked by its class; defaults where absent."""
@@ -90,9 +93,11 @@ def _load_config_file(path) -> dict:
             raise FormatError(f"config file {path} is not valid UTF-8 JSON: {e}") from e
         if not isinstance(config, dict):
             raise FormatError(f"config file {path} is not a JSON object")
-    sections = {"model": ModelConfig, "train": TrainConfig, "preprocess": sigproc.PreprocessConfig}
+        for name in config:
+            if name not in _SECTIONS:
+                raise FormatError(f"config file {path}: unknown section {name!r}; want {sorted(_SECTIONS)}")
     return {name: cls.from_dict(config.get(name, {}), f"config file section {name!r}")
-            for name, cls in sections.items()}
+            for name, cls in _SECTIONS.items()}
 
 
 def _with_flags(cfg, flags: dict):
@@ -205,6 +210,9 @@ def cmd_train(args) -> int:
     }
     train_cfg = _with_flags(file_cfg["train"], train_flags)
     pre_cfg = file_cfg["preprocess"]
+    # range errors surface before the data loads
+    model_cfg.validate()
+    train_cfg.validate()
 
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [train_cfg.seed]
     variants = list(VARIANTS) if args.sweep_variants else [model_cfg.variant]

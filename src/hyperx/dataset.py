@@ -390,6 +390,9 @@ def augment_segments(segs: SegmentSet, rng: np.random.Generator) -> SegmentSet:
 
 def save_dataset(ds: TrialDataset, path) -> Path:
     """Write manifest.json + trials/<id>.bin under ``path``."""
+    bad = next((tr for tr in ds.trials if tr.pre_trial_ms != ds.pre_trial_ms), None)
+    if bad is not None:
+        raise FormatError(f"trial {bad.trial_id}: pre_trial_ms {bad.pre_trial_ms} != the manifest's {ds.pre_trial_ms}")
     root = Path(path)
     (root / "trials").mkdir(parents=True, exist_ok=True)
     trial_entries = []
@@ -498,36 +501,40 @@ def manifest_hash(path) -> str:
 
 
 def save_segments(segs: SegmentSet, path, meta: dict | None = None):
-    """Cache preprocessed segments as an .npz archive (float32 payloads)."""
-    np.savez(
-        path,
-        eeg=segs.eeg.astype(np.float32),
-        ecg=segs.ecg.astype(np.float32),
-        gsr=segs.gsr.astype(np.float32),
-        eye=segs.eye.astype(np.float32),
-        arousal=segs.arousal.astype(np.int64),
-        valence=segs.valence.astype(np.int64),
-        trial_ids=segs.trial_ids,
-        subjects=segs.subjects.astype(np.int64),
-        meta=np.frombuffer(json.dumps(meta or {}, sort_keys=True).encode(), dtype=np.uint8),
-    )
+    """Cache preprocessed segments as an .npz archive: every SegmentSet field
+    (signals as float32, labels and subjects as int64) plus ``meta`` as JSON bytes."""
+    arrays = {f.name: getattr(segs, f.name) for f in fields(SegmentSet)}
+    for name in arrays.keys() - {"trial_ids"}:
+        arrays[name] = arrays[name].astype(np.float32 if name in SEGMENT_SHAPES else np.int64)
+    meta_bytes = np.frombuffer(json.dumps(meta or {}, sort_keys=True).encode(), dtype=np.uint8)
+    np.savez(path, **arrays, meta=meta_bytes)
 
 
 def load_segments(path) -> tuple[SegmentSet, dict]:
+    """Read a ``save_segments`` archive.  A missing array, arrays of unequal
+    length, a label outside {0, 1, 2}, a wrong segment shape or a ``meta``
+    that is not JSON is a FormatError; a non-finite signal an IntegrityError."""
     with np.load(path, allow_pickle=False) as z:
         try:
-            segs = SegmentSet(
-                z["eeg"].astype(np.float64),
-                z["ecg"].astype(np.float64),
-                z["gsr"].astype(np.float64),
-                z["eye"].astype(np.float64),
-                z["arousal"],
-                z["valence"],
-                z["trial_ids"],
-                z["subjects"],
-            )
-            meta = json.loads(bytes(z["meta"]).decode() or "{}")
+            arrays = {f.name: z[f.name] for f in fields(SegmentSet)}
+            meta_bytes = bytes(z["meta"])
         except KeyError as e:
             raise FormatError(f"segment archive {path} is missing array {e}") from e
+    where = f"segment archive {path}: array"
+    try:
+        meta = json.loads(meta_bytes.decode() or "{}")
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise FormatError(f"{where} 'meta' is not UTF-8 JSON: {e}") from e
+    count = arrays["eeg"].shape[:1]
+    for name, arr in arrays.items():
+        if arr.shape[:1] != count:
+            raise FormatError(f"{where} {name!r} has shape {arr.shape}; its length disagrees with eeg's")
+        if name in SEGMENT_SHAPES:
+            arrays[name] = arr = arr.astype(np.float64)
+            if not np.isfinite(arr).all():
+                raise IntegrityError(f"{where} {name!r} holds non-finite values")
+        elif name in ("arousal", "valence") and (arr.dtype.kind not in "iu" or not np.isin(arr, (0, 1, 2)).all()):
+            raise FormatError(f"{where} {name!r} holds labels outside {{0, 1, 2}}")
+    segs = SegmentSet(**arrays)
     segs.validate_shapes()
     return segs, meta

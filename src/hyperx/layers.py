@@ -231,26 +231,15 @@ class Conv1d(_WeightLayer):
 class BatchNorm1d(_Module):
     """Batch normalization over the channel axis with running statistics."""
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, channels: int):
         self.channels = channels
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
-        return batch_norm(
-            x,
-            self.gamma,
-            self.beta,
-            self.running_mean,
-            self.running_var,
-            train,
-            momentum=self.momentum,
-            eps=self.eps,
-        )
+        return batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var, train)
 
     def params(self):
         return [("gamma", self.gamma), ("beta", self.beta)]

@@ -103,6 +103,8 @@ class ModelConfig(JsonConfig):
         for name in ("eeg", "ecg", "eye"):
             if len(self.conv_channels(name)) != 2:
                 raise ConfigError(f"{name}_channels must list two widths, got {list(self.conv_channels(name))}")
+        if self.fusion_n < 1:
+            raise ConfigError(f"fusion_n must be >= 1, got {self.fusion_n}")
         # encoder widths are checked against n by the hypercomplex layers the variant builds
         width = self.fusion_input_width()
         for d in (width, *self.fusion_widths):
@@ -235,9 +237,8 @@ class H2Model:
 
     __call__ = forward
 
-    def forward_segments(self, segs, idx=None, train: bool = False, rng=None) -> Tensor:
-        if idx is None:
-            return self.forward(segs.eeg, segs.ecg, segs.gsr, segs.eye, train, rng)
+    def forward_segments(self, segs, idx, train: bool = False, rng=None) -> Tensor:
+        """Logits of the segments ``segs[idx]``."""
         return self.forward(segs.eeg[idx], segs.ecg[idx], segs.gsr[idx], segs.eye[idx], train, rng)
 
     # -- parameter registry ---------------------------------------------------
@@ -261,9 +262,6 @@ class H2Model:
                 seen.add(id(p))
                 out.append((name, p))
         return out
-
-    def parameters(self):
-        return [p for _, p in self.named_parameters()]
 
     def named_buffers(self):
         return list(self._named("buffers"))

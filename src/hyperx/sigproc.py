@@ -160,7 +160,6 @@ class PreprocessConfig(JsonConfig):
     notch_q: float = 30.0
     filter_order: int = 4
     baseline_ms: float = 200.0
-    segment_seconds: float = float(SEGMENT_SECONDS)
     segment_overlap_seconds: float = 0.0
 
 
@@ -214,14 +213,14 @@ def preprocess_trial(trial: RawTrial, cfg: PreprocessConfig | None = None) -> Pr
     return PreprocessedTrial(trial.trial_id, trial.subject, trial.arousal, trial.valence, *arrays)
 
 
-def segment_trial(pt: PreprocessedTrial, segment_seconds: float | None = None, overlap_seconds: float = 0.0):
-    """Cut a preprocessed trial into fixed-length windows.
+def segment_trial(pt: PreprocessedTrial, overlap_seconds: float = 0.0):
+    """Cut a preprocessed trial into ``SEGMENT_SECONDS`` windows, the model's input.
 
     Windows are consecutive and non-overlapping by default (3 per 30 s
     trial); a positive overlap shrinks the hop.  Trials shorter than one
     window emit nothing, with a warning.
     """
-    win_s = segment_seconds or float(SEGMENT_SECONDS)
+    win_s = float(SEGMENT_SECONDS)
     hop_s = win_s - overlap_seconds
     if hop_s <= 0:
         raise ConfigError(f"overlap {overlap_seconds} s >= window {win_s} s")
@@ -283,7 +282,7 @@ def preprocess_dataset(ds: TrialDataset, cfg: PreprocessConfig | None = None) ->
             arrays = _chain(*stacked, pre_trial_ms, cfg)
             for i, t in enumerate(block):
                 pt = PreprocessedTrial(t.trial_id, t.subject, t.arousal, t.valence, *(a[i] for a in arrays))
-                flat += segment_trial(pt, cfg.segment_seconds, cfg.segment_overlap_seconds)
+                flat += segment_trial(pt, cfg.segment_overlap_seconds)
     if not flat:
         raise ConfigError("no segments produced; are the trials long enough?")
     return SegmentSet(

@@ -9,7 +9,7 @@ accumulates gradients (second call adds the same gradient again); use
 ``zero_grads`` or ``clear_tape`` between steps.
 
 The engine is single-threaded per tape and supports exactly the operations
-the model stack needs: matmul/linear, 1-D cross-correlation, Kronecker-sum
+the model stack needs: linear, 1-D cross-correlation, Kronecker-sum
 weight construction, relu, batch norm, dropout, pooling, concatenation and
 softmax cross-entropy.
 """
@@ -39,11 +39,8 @@ __all__ = [
     "backward",
     "zero_grads",
     "add",
-    "sub",
     "mul",
     "scale",
-    "matmul",
-    "transpose",
     "reshape",
     "concat",
     "relu",
@@ -95,43 +92,11 @@ class Tensor:
             raise RankError(f"item() needs a single-element tensor, got shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         backward(self)
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.data.shape)}, requires_grad={self.requires_grad})"
-
-    # Operator sugar used by tests and small scripts.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, _as_tensor(other))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
-    def sum(self):
-        return tensor_sum(self)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +238,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-    return _make_output(
-        data,
-        [(a, lambda g: _unbroadcast(g, a.data.shape)), (b, lambda g: _unbroadcast(-g, b.data.shape))],
-    )
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
     return _make_output(
@@ -295,24 +252,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
     return _make_output(a.data * s, [(a, lambda g: g * s)])
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise RankError(f"matmul needs two rank-2 tensors, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}")
-    data = a.data @ b.data
-    return _make_output(
-        data,
-        [(a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g)],
-    )
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise RankError(f"transpose needs a rank-2 tensor, got shape {a.data.shape}")
-    return _make_output(a.data.T.copy(), [(a, lambda g: g.T)])
 
 
 def reshape(a: Tensor, shape) -> Tensor:

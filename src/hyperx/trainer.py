@@ -67,6 +67,14 @@ class TrainConfig(JsonConfig):
             raise ConfigError(f"pct_start must be in (0, 1), got {self.pct_start}")
         if self.max_lr <= 0:
             raise ConfigError(f"max_lr must be positive, got {self.max_lr}")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 2:
+            raise ConfigError(f"batch_size must be >= 2 (train-mode batch norm), got {self.batch_size}")
+        if not 0.0 < self.train_frac < 1.0:
+            raise ConfigError(f"train_frac must be in (0, 1), got {self.train_frac}")
+        if self.split_unit not in ("segment", "trial"):
+            raise ConfigError(f"split_unit must be segment or trial, got {self.split_unit!r}")
         if self.patience > self.epochs:
             raise ConfigError(f"patience {self.patience} exceeds epochs {self.epochs}")
         if self.target not in ("arousal", "valence"):
@@ -301,7 +309,6 @@ def train(
     best_metrics = None
     aborted = None
     step = 0
-    epochs_run = 0
     labels_all = train_segs.labels(cfg.target)
 
     for epoch in range(1, cfg.epochs + 1):
@@ -318,14 +325,13 @@ def train(
                 aborted = "nan-loss"
                 break
             loss.backward()
-            lr, beta1 = one_cycle(min(step, total_steps - 1), total_steps, cfg)
+            lr, beta1 = one_cycle(step, total_steps, cfg)
             optimizer.step(lr, beta1)
             step += 1
             losses.append(loss_val)
         clear_tape()
         if aborted:
             break
-        epochs_run = epoch
 
         test_metrics = evaluate(model, test_segs, cfg.target)
         record = {
@@ -341,9 +347,8 @@ def train(
             record["train_accuracy"] = evaluate(model, train_segs, cfg.target).accuracy
         history.append(record)
 
-        improved = test_metrics.macro_f1 > stopper.best
         should_stop = stopper.update(test_metrics.macro_f1, epoch)
-        if improved or best_bytes is None:
+        if stopper.best_epoch == epoch:
             best_bytes = serialize_model(
                 model,
                 extra={
@@ -367,6 +372,6 @@ def train(
         best_epoch=stopper.best_epoch,
         best_metrics=best_metrics,
         history=history,
-        epochs_run=epochs_run,
+        epochs_run=len(history),
         aborted=aborted,
     )

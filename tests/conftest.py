@@ -22,6 +22,18 @@ def tiny_model_config(**overrides) -> ModelConfig:
     return ModelConfig(**base)
 
 
+def kron_block_oracle(a, f):
+    """Naive double loop over block indices of sum_i A_i (x) F_i."""
+    n, p, q = a.shape
+    _, r, s = f.shape
+    out = np.zeros((p * r, q * s))
+    for i in range(n):
+        for bp in range(p):
+            for bq in range(q):
+                out[bp * r : (bp + 1) * r, bq * s : (bq + 1) * s] += a[i, bp, bq] * f[i]
+    return out
+
+
 def random_batch(rng, batch=2):
     return dict(
         eeg=rng.standard_normal((batch, 10, 1280)),

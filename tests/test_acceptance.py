@@ -24,7 +24,7 @@ from hyperx.sigproc import IIRFilterSpec, apply_filter, preprocess_dataset, prep
 from hyperx.tensor import Tensor, backward, kron_sum, kron_sum_taps, relu, tape_scope, tensor_sum
 from hyperx.trainer import TrainConfig, one_cycle, train
 
-from tests.conftest import tiny_model_config
+from tests.conftest import kron_block_oracle, tiny_model_config
 
 
 @pytest.fixture(scope="module")
@@ -36,18 +36,6 @@ def zero_noise_segments():
 @pytest.fixture(scope="module")
 def noisy_segments():
     return preprocess_dataset(generate_synthetic(SyntheticSpec(seed=0, noise_level=0.5)))
-
-
-def _kron_block_oracle(a, f):
-    """Naive double loop over block indices of sum_i A_i (x) F_i."""
-    n, p, q = a.shape
-    _, r, s = f.shape
-    out = np.zeros((p * r, q * s))
-    for i in range(n):
-        for bp in range(p):
-            for bq in range(q):
-                out[bp * r : (bp + 1) * r, bq * s : (bq + 1) * s] += a[i, bp, bq] * f[i]
-    return out
 
 
 def test_c01_kronecker_weight_construction():
@@ -63,13 +51,13 @@ def test_c01_kronecker_weight_construction():
         if trial % 2 == 0:
             f = rng.standard_normal((n, r, s))
             got = kron_sum(Tensor(a), Tensor(f)).data
-            worst = max(worst, float(np.abs(got - _kron_block_oracle(a, f)).max()))
+            worst = max(worst, float(np.abs(got - kron_block_oracle(a, f)).max()))
         else:
             k = int(rng.integers(1, 5))
             f = rng.standard_normal((n, r, s, k))
             got = kron_sum_taps(Tensor(a), Tensor(f)).data
             for t in range(k):
-                err = np.abs(got[:, :, t] - _kron_block_oracle(a, f[:, :, :, t])).max()
+                err = np.abs(got[:, :, t] - kron_block_oracle(a, f[:, :, :, t])).max()
                 worst = max(worst, float(err))
     elapsed = time.time() - start
     assert worst < 1e-12, f"worst |built - oracle| = {worst:.2e}"

@@ -239,6 +239,8 @@ def test_manifest_without_pre_trial_ms_is_data_error(tmp_path, raw_dir):
         ({"preprocess": {"filter_order": "4"}}, "filter_order"),
         ({"train": {"train_frac": "x"}}, "train_frac"),
         ({"model": {"eeg_channels": 5}}, "eeg_channels"),
+        ({"modle": {"fusion_n": 3}}, "unknown section 'modle'"),
+        ({"preprocess": {"segment_seconds": 5.0}}, "segment_seconds"),
     ],
 )
 def test_bad_config_file_is_data_error(tmp_path, raw_dir, capsys, payload, match):
@@ -273,6 +275,25 @@ def test_wrong_length_tuple_field_is_config_error(tmp_path, raw_dir, capsys, sec
     cfg.write_text(json.dumps({section: {key: value}}))
     assert main(["train", "--data", str(raw_dir), "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 1
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload,match",
+    [
+        ({"model": {"fusion_n": 0}}, "fusion_n must be >= 1"),
+        ({"train": {"batch_size": 0}}, "batch_size must be >= 2"),
+        ({"train": {"batch_size": 1}}, "batch_size must be >= 2"),
+        ({"train": {"epochs": 0, "patience": 0}}, "epochs must be >= 1"),
+        ({"train": {"train_frac": 1.5}}, "train_frac must be in (0, 1)"),
+        ({"train": {"split_unit": "subject"}}, "split_unit must be segment or trial"),
+    ],
+)
+def test_out_of_range_config_value_is_usage_error(tmp_path, raw_dir, capsys, payload, match):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    assert main(["train", "--data", str(raw_dir), "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 1
+    assert match in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hyperx.cli import main
 from hyperx.dataset import (
     SegmentSet,
     SyntheticSpec,
@@ -312,6 +313,54 @@ def test_malformed_manifest_or_payload_is_rejected_at_load(tmp_path, mutate, err
     mutate(root)
     with pytest.raises(error, match=match):
         load_dataset(root)
+
+
+def test_save_dataset_rejects_a_trial_with_another_pre_trial_ms(tmp_path):
+    # the manifest holds one pre_trial_ms, so such a directory would not load back
+    trials = generate_synthetic(SyntheticSpec(num_subjects=1, trials_per_subject=2)).trials
+    trials += generate_synthetic(SyntheticSpec(num_subjects=2, trials_per_subject=1, pre_trial_ms=500)).trials[1:]
+    with pytest.raises(FormatError, match="s001t00001: pre_trial_ms 500"):
+        save_dataset(TrialDataset(trials, pre_trial_ms=1000), tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
+
+
+def _shorter_arousal(arrays):
+    arrays["arousal"] = arrays["arousal"][:-1]
+
+
+def _label_seven(arrays):
+    arrays["arousal"][0] = 7
+
+
+def _nan_in_eeg(arrays):
+    arrays["eeg"][1, 2, 3] = np.nan
+
+
+def _meta_not_json(arrays):
+    arrays["meta"] = np.frombuffer(b"{oops", dtype=np.uint8)
+
+
+@pytest.mark.parametrize(
+    "mutate,error,match",
+    [
+        (_shorter_arousal, FormatError, "array 'arousal' has shape"),
+        (_label_seven, FormatError, "array 'arousal' holds labels outside"),
+        (_nan_in_eeg, IntegrityError, "array 'eeg' holds non-finite values"),
+        (_meta_not_json, FormatError, "array 'meta' is not UTF-8 JSON"),
+    ],
+    ids=["short_arousal", "label_7", "nan_eeg", "meta_not_json"],
+)
+def test_malformed_segment_archive_is_rejected_at_load(tmp_path, tiny_segments, capsys, mutate, error, match):
+    path = tmp_path / "segs.npz"
+    save_segments(tiny_segments, path)
+    with np.load(path) as z:
+        arrays = {name: z[name].copy() for name in z.files}
+    mutate(arrays)
+    np.savez(path, **arrays)
+    with pytest.raises(error, match=match):
+        load_segments(path)
+    assert main(["train", "--data", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert match in capsys.readouterr().err
 
 
 def test_segment_archive_roundtrip(tmp_path, tiny_segments):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperx.errors import ConfigError, RankError
 from hyperx.layers import (
@@ -18,10 +20,13 @@ from hyperx.tensor import (
     grad_check,
     kron_sum,
     kron_sum_taps,
+    mul,
     relu,
     tape_scope,
     tensor_sum,
 )
+
+from tests.conftest import kron_block_oracle
 
 
 def kron_loop_oracle(a, b):
@@ -90,7 +95,7 @@ def test_kron_gradients():
 
     def f(_t):
         y = kron_sum(a, b)
-        return tensor_sum(y * y)
+        return tensor_sum(mul(y, y))
 
     assert grad_check(f, a).passed
     assert grad_check(f, b).passed
@@ -132,6 +137,39 @@ def test_kron_sum_taps_matches_per_tap_oracle():
     got = kron_sum_taps(Tensor(a), Tensor(f)).data
     for t in range(5):
         np.testing.assert_allclose(got[:, :, t], kron_sum_oracle(a, f[:, :, :, t]), atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    p=st.integers(1, 4),
+    q=st.integers(1, 4),
+    r=st.integers(1, 4),
+    s=st.integers(1, 4),
+    taps=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_kron_sum_property_forward_and_vjps(n, p, q, r, s, taps, seed):
+    """kron_sum (taps = 0) and kron_sum_taps against the block-loop oracle,
+    with gradient checks of both inputs under a random upstream."""
+    rng = np.random.default_rng(seed)
+    a = Tensor(rng.standard_normal((n, p, q)), requires_grad=True)
+    f = Tensor(rng.standard_normal((n, r, s, taps) if taps else (n, r, s)), requires_grad=True)
+    op = kron_sum_taps if taps else kron_sum
+    y = op(a, f).data
+    if taps:
+        want = np.stack([kron_block_oracle(a.data, f.data[..., t]) for t in range(taps)], axis=-1)
+    else:
+        want = kron_block_oracle(a.data, f.data)
+    np.testing.assert_allclose(y, want, atol=1e-12)
+    g = Tensor(rng.standard_normal(y.shape))
+
+    def fn(_t):
+        return tensor_sum(mul(op(a, f), g))
+
+    for target in (a, f):
+        report = grad_check(fn, target, tol=1e-6, max_probes=48)
+        assert report.passed, (target.shape, report)
 
 
 def test_build_weight_linear_in_a_and_f():

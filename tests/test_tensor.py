@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hyperx.errors import DegenerateBatchError, DimensionError, LabelError, RankError
 from hyperx.tensor import (
     Tensor,
+    add,
     backward,
     batch_norm,
     clear_tape,
@@ -15,7 +16,6 @@ from hyperx.tensor import (
     global_avg_pool,
     grad_check,
     linear,
-    matmul,
     mul,
     no_grad,
     relu,
@@ -23,59 +23,88 @@ from hyperx.tensor import (
     softmax_cross_entropy,
     tape_scope,
     tensor_sum,
-    transpose,
     zero_grads,
 )
 
 
 # ---------------------------------------------------------------------------
-# matmul
+# linear
 # ---------------------------------------------------------------------------
 
 
-def matmul_loop_oracle(a, b):
-    m, k = a.shape
-    k2, p = b.shape
-    out = np.zeros((m, p))
-    for i in range(m):
-        for j in range(p):
-            for t in range(k):
-                out[i, j] += a[i, t] * b[t, j]
+def linear_loop_oracle(x, w, b):
+    batch, d_in = x.shape
+    d_out = w.shape[0]
+    out = np.zeros((batch, d_out))
+    for i in range(batch):
+        for j in range(d_out):
+            acc = b[j] if b is not None else 0.0
+            for t in range(d_in):
+                acc += x[i, t] * w[j, t]
+            out[i, j] = acc
     return out
 
 
-def test_matmul_identity():
-    a = Tensor(np.eye(2))
-    b = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(matmul(a, b).data, [[1, 2], [3, 4]])
+def test_linear_identity():
+    x = Tensor([[1.0, 2.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(linear(x, Tensor(np.eye(2))).data, [[1, 2], [3, 4]])
 
 
-def test_matmul_row_times_column():
-    y = matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
+def test_linear_row_times_column():
+    y = linear(Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]]))
     np.testing.assert_array_equal(y.data, [[11.0]])
 
 
-def test_matmul_matches_triple_loop_oracle():
+def test_linear_matches_triple_loop_oracle():
     rng = np.random.default_rng(0)
-    a, b = rng.standard_normal((4, 5)), rng.standard_normal((5, 3))
-    got = matmul(Tensor(a), Tensor(b)).data
-    np.testing.assert_allclose(got, matmul_loop_oracle(a, b), atol=1e-12)
+    x, w, b = rng.standard_normal((4, 5)), rng.standard_normal((3, 5)), rng.standard_normal(3)
+    np.testing.assert_allclose(linear(Tensor(x), Tensor(w)).data, linear_loop_oracle(x, w, None), atol=1e-12)
+    got = linear(Tensor(x), Tensor(w), Tensor(b)).data
+    np.testing.assert_allclose(got, linear_loop_oracle(x, w, b), atol=1e-12)
 
 
-def test_matmul_shape_error_names_both_shapes():
+def test_linear_shape_error_names_both_shapes():
     with pytest.raises(DimensionError, match=r"\(2, 3\).*\(4, 5\)"):
-        matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+        linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
 
 
-def test_matmul_backward():
+def test_linear_backward():
     rng = np.random.default_rng(1)
-    a = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
-    b = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+    x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+    w = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
+    b = Tensor(rng.standard_normal(3), requires_grad=True)
     with tape_scope():
-        backward(tensor_sum(matmul(a, b)))
+        backward(tensor_sum(linear(x, w, b)))
     ones = np.ones((4, 3))
-    np.testing.assert_allclose(a.grad, ones @ b.data.T, atol=1e-12)
-    np.testing.assert_allclose(b.grad, a.data.T @ ones, atol=1e-12)
+    np.testing.assert_allclose(x.grad, ones @ w.data, atol=1e-12)
+    np.testing.assert_allclose(w.grad, ones.T @ x.data, atol=1e-12)
+    np.testing.assert_allclose(b.grad, ones.sum(axis=0), atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    batch=st.integers(1, 5),
+    d_in=st.integers(1, 6),
+    d_out=st.integers(1, 6),
+    bias=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_linear_property_forward_and_vjps(batch, d_in, d_out, bias, seed):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal((batch, d_in)), requires_grad=True)
+    w = Tensor(rng.standard_normal((d_out, d_in)), requires_grad=True)
+    b = Tensor(rng.standard_normal(d_out), requires_grad=True) if bias else None
+    y = linear(x, w, b).data
+    np.testing.assert_allclose(y, linear_loop_oracle(x.data, w.data, None if b is None else b.data), atol=1e-12)
+    # a random upstream array, so every output element weighs differently
+    g = Tensor(rng.standard_normal(y.shape))
+
+    def f(_t):
+        return tensor_sum(mul(linear(x, w, b), g))
+
+    for target in (x, w) if b is None else (x, w, b):
+        report = grad_check(f, target, tol=1e-6, max_probes=48)
+        assert report.passed, (target.shape, report)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +241,9 @@ def test_reshape_and_transpose_roundtrip():
     rng = np.random.default_rng(3)
     x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     with tape_scope():
-        y = transpose(reshape(x, (4, 3)))
+        # linear(I, w) = w.T: the transpose goes through linear's weight VJP
+        y = linear(Tensor(np.eye(3)), reshape(x, (4, 3)))
+        np.testing.assert_array_equal(y.data, x.data.reshape(4, 3).T)
         backward(tensor_sum(mul(y, y)))
     np.testing.assert_allclose(x.grad, 2 * x.data, atol=1e-12)
 
@@ -423,7 +454,7 @@ def test_diamond_graph_gradient():
     x = Tensor([1.5], requires_grad=True)
     with tape_scope():
         sq = mul(x, x)
-        backward(tensor_sum(sq + sq))
+        backward(tensor_sum(add(sq, sq)))
     np.testing.assert_allclose(x.grad, [6.0])
 
 
@@ -487,14 +518,14 @@ def test_broadcast_add_gradients():
     x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     b = Tensor(rng.standard_normal(3), requires_grad=True)
     with tape_scope():
-        backward(tensor_sum(mul(x + b, x + b)))
+        backward(tensor_sum(mul(add(x, b), add(x, b))))
     np.testing.assert_allclose(b.grad, (2 * (x.data + b.data)).sum(axis=0), atol=1e-12)
 
 
 def test_tensor_invariants():
     t = Tensor(np.arange(6.0).reshape(2, 3))
     assert t.size == 6 and t.shape == (2, 3)
-    r = t.reshape(3, 2)
+    r = reshape(t, (3, 2))
     assert r.shape == (3, 2) and t.shape == (2, 3)
     with pytest.raises(DimensionError):
         reshape(t, (4, 2))
