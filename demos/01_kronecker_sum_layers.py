@@ -12,13 +12,13 @@ script shows the three headline properties:
 
 import numpy as np
 
-from hyperx.layers import Dense, PHMLayer, hamilton_matrices
+from hyperx.layers import PHMLayer, hamilton_matrices
 from hyperx.tensor import Tensor
 
 rng = np.random.default_rng(0)
 
 print("== parameter counts (d_in = d_out = 64) ==")
-dense = Dense(64, 64, rng)
+dense = PHMLayer(64, 64, None, rng)
 print(f"dense:       {dense.param_count():5d} learnable scalars")
 for n in (1, 2, 4, 8):
     layer = PHMLayer(64, 64, n, rng)
@@ -26,7 +26,7 @@ for n in (1, 2, 4, 8):
 
 print("\n== n=1 degeneracy ==")
 phm1 = PHMLayer(6, 4, 1, rng)
-plain = Dense(6, 4, rng)
+plain = PHMLayer(6, 4, None, rng)
 plain.w.data = phm1.weight.f.data[0].copy()
 plain.b.data = phm1.b.data.copy()
 x = Tensor(rng.standard_normal((2, 6)))

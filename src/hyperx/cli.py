@@ -24,8 +24,6 @@ from . import sigproc
 from .errors import ConfigError, FormatError, HyperxError, IntegrityError
 from .layers import (
     BatchNorm1d,
-    Conv1d,
-    Dense,
     PHCLayer,
     PHMLayer,
     hamilton_matrices,
@@ -372,9 +370,9 @@ def _gradcheck_battery(layer, n, break_backward):
         run(lambda _t: tensor_sum(act(module(x, *args))), targets)
 
     if layer in (None, "dense"):
-        module_check("dense", Dense(9, 7, rng), (4, 9))
+        module_check("dense", PHMLayer(9, 7, None, rng), (4, 9))
     if layer in (None, "conv"):
-        module_check("conv", Conv1d(3, 5, 3, rng, stride=2, padding=1), (2, 3, 12))
+        module_check("conv", PHCLayer(3, 5, None, 3, rng, stride=2, padding=1), (2, 3, 12))
     if layer in (None, "phm"):
         for k in [n] if n else [2, 3, 4, 10]:
             module_check(f"phm n={k}", PHMLayer(4 * k, 2 * k, k, rng), (3, 4 * k))

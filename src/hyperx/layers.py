@@ -1,4 +1,4 @@
-"""Hypercomplex multiplication/convolution layers and their real counterparts.
+"""Hypercomplex multiplication/convolution layers, real ones at ``n=None``.
 
 A hypercomplex layer of dimension n builds its effective weight as a sum of
 Kronecker products, W = sum_i A_i (x) F_i, where the n algebra matrices A_i
@@ -32,8 +32,6 @@ __all__ = [
     "HypercomplexWeight",
     "PHMLayer",
     "PHCLayer",
-    "Dense",
-    "Conv1d",
     "BatchNorm1d",
     "Dropout",
 ]
@@ -88,38 +86,15 @@ class HypercomplexWeight:
     layer F is [n, c_out/n, c_in/n, K] and the sum is applied per tap.
     """
 
-    def __init__(self, n: int, a: Tensor, f: Tensor):
-        self.n = n
+    def __init__(self, a: Tensor, f: Tensor):
         self.a = a
         self.f = f
-
-    @classmethod
-    def for_phm(cls, d_in, d_out, n, rng, algebra=None):
-        _check_divisible("d_in", d_in, n)
-        _check_divisible("d_out", d_out, n)
-        a = Tensor(algebra_init(n, rng) if algebra is None else algebra, requires_grad=True)
-        # He fan-in of the effective [d_out, d_in] weight, not of F itself.
-        f = Tensor(he_uniform((n, d_out // n, d_in // n), d_in, rng), requires_grad=True)
-        return cls(n, a, f)
-
-    @classmethod
-    def for_phc(cls, c_in, c_out, n, k, rng, algebra=None):
-        _check_divisible("c_in", c_in, n)
-        _check_divisible("c_out", c_out, n)
-        a = Tensor(algebra_init(n, rng) if algebra is None else algebra, requires_grad=True)
-        f = Tensor(he_uniform((n, c_out // n, c_in // n, k), c_in * k, rng), requires_grad=True)
-        return cls(n, a, f)
 
     def build(self) -> Tensor:
         """Materialize the effective weight (differentiable through A and F)."""
         if self.f.data.ndim == 3:
             return kron_sum(self.a, self.f)
         return kron_sum_taps(self.a, self.f)
-
-
-def _check_divisible(name: str, value: int, n: int):
-    if value % n != 0:
-        raise ConfigError(f"{name}={value} is not divisible by n={n}")
 
 
 class _Module:
@@ -134,15 +109,33 @@ class _Module:
 
 
 class _WeightLayer(_Module):
-    """A weight plus an optional bias of ``width`` entries.
+    """A [d_out, d_in, *taps] weight plus an optional bias of d_out entries.
 
-    Plain layers keep their weight Tensor in ``w``, hypercomplex ones their (A, F) pair in ``weight``.
+    With ``n=None`` the weight is one learned Tensor ``w``, else the (A, F) pair
+    ``weight`` with F [n, d_out/n, d_in/n, *taps].  ``names`` are the attribute
+    names of d_in and d_out, also used in divisibility errors.
     """
 
     weight = None
 
-    def __init__(self, width: int, bias: bool):
-        self.b = Tensor(np.zeros(width), requires_grad=True) if bias else None
+    def __init__(self, names, d_in, d_out, taps, n, rng, bias, algebra):
+        self.n = n
+        for name, value in zip(names, (d_in, d_out)):
+            setattr(self, name, value)
+            if n is not None and value % n:
+                raise ConfigError(f"{name}={value} is not divisible by n={n}")
+        # He fan-in of the effective weight, not of F itself.
+        fan_in = d_in * math.prod(taps)
+        if n is None:
+            self.w = Tensor(he_uniform((d_out, d_in, *taps), fan_in, rng), requires_grad=True)
+        else:
+            a = Tensor(algebra_init(n, rng) if algebra is None else algebra, requires_grad=True)
+            f = Tensor(he_uniform((n, d_out // n, d_in // n, *taps), fan_in, rng), requires_grad=True)
+            self.weight = HypercomplexWeight(a, f)
+        self.b = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
+
+    def effective_weight(self) -> Tensor:
+        return self.w if self.weight is None else self.weight.build()
 
     def params(self):
         out = [("W", self.w)] if self.weight is None else [("A", self.weight.a), ("F", self.weight.f)]
@@ -154,31 +147,29 @@ class _WeightLayer(_Module):
 class PHMLayer(_WeightLayer):
     """Hypercomplex multiplication: y = x @ W.T + b with W = sum_i A_i (x) F_i.
 
-    Holds n^3 + d_out*d_in/n weight scalars, plus d_out bias terms.
+    Holds n^3 + d_out*d_in/n weight scalars, plus d_out bias terms.  With
+    ``n=None`` W is learned directly: a plain fully-connected layer.
     """
 
-    def __init__(self, d_in: int, d_out: int, n: int, rng, bias: bool = True, algebra=None):
-        super().__init__(d_out, bias)
-        self.d_in = d_in
-        self.d_out = d_out
-        self.n = n
-        self.weight = HypercomplexWeight.for_phm(d_in, d_out, n, rng, algebra)
+    def __init__(self, d_in: int, d_out: int, n: int | None, rng, bias: bool = True, algebra=None):
+        super().__init__(("d_in", "d_out"), d_in, d_out, (), n, rng, bias, algebra)
 
     def forward(self, x: Tensor) -> Tensor:
-        return linear(x, self.weight.build(), self.b)
+        return linear(x, self.effective_weight(), self.b)
 
 
 class PHCLayer(_WeightLayer):
     """Hypercomplex 1-D convolution; the Kronecker sum is built per kernel tap.
 
-    Holds n^3 + c_out*c_in*K/n weight scalars, plus c_out bias terms.
+    Holds n^3 + c_out*c_in*K/n weight scalars, plus c_out bias terms.  With
+    ``n=None`` the [c_out, c_in, K] W is learned directly: a plain convolution.
     """
 
     def __init__(
         self,
         c_in: int,
         c_out: int,
-        n: int,
+        n: int | None,
         kernel_size: int,
         rng,
         stride: int = 1,
@@ -186,46 +177,13 @@ class PHCLayer(_WeightLayer):
         bias: bool = True,
         algebra=None,
     ):
-        super().__init__(c_out, bias)
-        self.c_in = c_in
-        self.c_out = c_out
-        self.n = n
+        super().__init__(("c_in", "c_out"), c_in, c_out, (kernel_size,), n, rng, bias, algebra)
         self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
-        self.weight = HypercomplexWeight.for_phc(c_in, c_out, n, kernel_size, rng, algebra)
 
     def forward(self, x: Tensor) -> Tensor:
-        return conv1d(x, self.weight.build(), self.b, stride=self.stride, padding=self.padding)
-
-
-class Dense(_WeightLayer):
-    """Plain fully-connected layer, the n=1 real counterpart of PHMLayer."""
-
-    def __init__(self, d_in: int, d_out: int, rng, bias: bool = True):
-        super().__init__(d_out, bias)
-        self.d_in = d_in
-        self.d_out = d_out
-        self.w = Tensor(he_uniform((d_out, d_in), d_in, rng), requires_grad=True)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return linear(x, self.w, self.b)
-
-
-class Conv1d(_WeightLayer):
-    """Plain 1-D convolution, the n=1 real counterpart of PHCLayer."""
-
-    def __init__(self, c_in, c_out, kernel_size, rng, stride=1, padding=0, bias=True):
-        super().__init__(c_out, bias)
-        self.c_in = c_in
-        self.c_out = c_out
-        self.kernel_size = kernel_size
-        self.stride = stride
-        self.padding = padding
-        self.w = Tensor(he_uniform((c_out, c_in, kernel_size), c_in * kernel_size, rng), requires_grad=True)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return conv1d(x, self.w, self.b, stride=self.stride, padding=self.padding)
+        return conv1d(x, self.effective_weight(), self.b, stride=self.stride, padding=self.padding)
 
 
 class BatchNorm1d(_Module):

@@ -11,13 +11,13 @@ Every encoder is one ``_Encoder``: [layer -> BN -> ReLU] stages whose layer
 kind follows the variant (same widths everywhere, for ablation comparisons):
 
 * ``phc``    conv1, conv2 = PHCLayer, then global average pool
-* ``conv``   conv1, conv2 = Conv1d, then global average pool
+* ``conv``   conv1, conv2 = PHCLayer with n=None, then global average pool
 * ``phm``    fc1, fc2 = PHMLayer on the flattened segment
-* ``linear`` fc1, fc2 = Dense on the flattened segment
+* ``linear`` fc1, fc2 = PHMLayer with n=None on the flattened segment
 
 Stage i normalizes with ``bn{i}``.  GSR is single-channel, so in every variant
 its encoder is the one stage ``fc``/``bn``: PHMLayer with n = 1 (i.e. dense)
-for phc/phm, Dense otherwise.  With ``share_encoder_algebra`` the second
+for phc/phm, n=None otherwise.  With ``share_encoder_algebra`` the second
 hypercomplex layer of an encoder uses the first one's A tensor.
 
 Checkpoint container: magic ``H2CK``, u32 version, u32 length + canonical
@@ -38,7 +38,7 @@ import numpy as np
 from .config import JsonConfig
 from .dataset import SEGMENT_SHAPES
 from .errors import ConfigError, DimensionError, FormatError, InputValidationError
-from .layers import BatchNorm1d, Conv1d, Dense, Dropout, PHCLayer, PHMLayer
+from .layers import BatchNorm1d, Dropout, PHCLayer, PHMLayer
 from .tensor import Tensor, concat, global_avg_pool, relu, reshape
 
 __all__ = [
@@ -103,8 +103,15 @@ class ModelConfig(JsonConfig):
         for name in ("eeg", "ecg", "eye"):
             if len(self.conv_channels(name)) != 2:
                 raise ConfigError(f"{name}_channels must list two widths, got {list(self.conv_channels(name))}")
-        if self.fusion_n < 1:
-            raise ConfigError(f"fusion_n must be >= 1, got {self.fusion_n}")
+        for name in ("n_eeg", "n_ecg", "n_eye", "n_gsr", "fusion_n", "kernel_size", "stride",
+                     "eeg_hidden", "ecg_hidden", "eye_hidden", "gsr_width"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.padding < 0:
+            raise ConfigError(f"padding must be >= 0, got {self.padding}")
+        for name in ("eeg_channels", "ecg_channels", "eye_channels", "fusion_widths"):
+            if any(w < 1 for w in getattr(self, name)):
+                raise ConfigError(f"{name} must all be >= 1, got {list(getattr(self, name))}")
         # encoder widths are checked against n by the hypercomplex layers the variant builds
         width = self.fusion_input_width()
         for d in (width, *self.fusion_widths):
@@ -130,13 +137,14 @@ class _Encoder:
         else:
             self.stage_names = [("fc1", "bn1"), ("fc2", "bn2")]
             widths = [cfg.flat_hidden(modality), cfg.embedding_width(modality)]
-        share = cfg.share_encoder_algebra and cfg.variant in ("phm", "phc")
+        n = cfg.modality_n(modality) if cfg.variant in ("phm", "phc") else None
+        share = cfg.share_encoder_algebra and n is not None
         self.stages = []
         prev = c_in if self.conv else self.d_flat
         for (layer_name, bn_name), width in zip(self.stage_names, widths):
             # a shared A is passed in, so the second layer draws no A from rng
             first = self.stages[0][0] if share and self.stages else None
-            layer = self._layer(cfg, modality, prev, width, rng, None if first is None else first.weight.a.data)
+            layer = self._layer(cfg, n, prev, width, rng, None if first is None else first.weight.a.data)
             if first is not None:
                 layer.weight.a = first.weight.a
             bn = BatchNorm1d(width)
@@ -145,17 +153,10 @@ class _Encoder:
             self.stages.append((layer, bn))
             prev = width
 
-    def _layer(self, cfg: ModelConfig, modality: str, d_in: int, d_out: int, rng, algebra):
-        n = cfg.modality_n(modality)
-        k, s, p = cfg.kernel_size, cfg.stride, cfg.padding
-        hyper = cfg.variant in ("phm", "phc")
-        if self.conv and hyper:
-            return PHCLayer(d_in, d_out, n, k, rng, stride=s, padding=p, algebra=algebra)
+    def _layer(self, cfg: ModelConfig, n: int | None, d_in: int, d_out: int, rng, algebra):
         if self.conv:
-            return Conv1d(d_in, d_out, k, rng, stride=s, padding=p)
-        if hyper:
-            return PHMLayer(d_in, d_out, n, rng, algebra=algebra)
-        return Dense(d_in, d_out, rng)
+            return PHCLayer(d_in, d_out, n, cfg.kernel_size, rng, cfg.stride, cfg.padding, algebra=algebra)
+        return PHMLayer(d_in, d_out, n, rng, algebra=algebra)
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
         h = x if self.conv else reshape(x, (x.shape[0], self.d_flat))
@@ -177,7 +178,7 @@ class _Fusion:
         for w in cfg.fusion_widths:
             self.phms.append(PHMLayer(prev, w, cfg.fusion_n, rng))
             prev = w
-        self.head = Dense(prev, cfg.num_classes, rng)
+        self.head = PHMLayer(prev, cfg.num_classes, None, rng)
 
     def forward(self, h: Tensor, train: bool, rng) -> Tensor:
         for phm in self.phms:

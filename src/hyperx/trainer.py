@@ -69,6 +69,8 @@ class TrainConfig(JsonConfig):
             raise ConfigError(f"max_lr must be positive, got {self.max_lr}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.patience < 1:
+            raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2 (train-mode batch norm), got {self.batch_size}")
         if not 0.0 < self.train_frac < 1.0:

@@ -18,7 +18,7 @@ from hyperx.dataset import (
     load_dataset,
     split_segments,
 )
-from hyperx.layers import Conv1d, Dense, PHCLayer, PHMLayer, hamilton_matrices
+from hyperx.layers import PHCLayer, PHMLayer, hamilton_matrices
 from hyperx.model import H2Model, ModelConfig, VARIANTS
 from hyperx.sigproc import IIRFilterSpec, apply_filter, preprocess_dataset, preprocess_trial
 from hyperx.tensor import Tensor, backward, kron_sum, kron_sum_taps, relu, tape_scope, tensor_sum
@@ -73,7 +73,7 @@ def test_c02_n1_degeneracy_outputs_and_gradients():
         if trial % 2 == 0:
             d_in, d_out, batch = (int(rng.integers(2, 12)) for _ in range(3))
             phm = PHMLayer(d_in, d_out, 1, rng)
-            dense = Dense(d_in, d_out, rng)
+            dense = PHMLayer(d_in, d_out, None, rng)
             dense.w.data = phm.weight.f.data[0].copy()
             dense.b.data = phm.b.data.copy()
             x1 = Tensor(rng.standard_normal((batch, d_in)), requires_grad=True)
@@ -90,7 +90,7 @@ def test_c02_n1_degeneracy_outputs_and_gradients():
             stride, pad = int(rng.integers(1, 3)), int(rng.integers(0, 3))
             length = int(rng.integers(k + 2, 20))
             phc = PHCLayer(c_in, c_out, 1, k, rng, stride=stride, padding=pad)
-            conv = Conv1d(c_in, c_out, k, rng, stride=stride, padding=pad)
+            conv = PHCLayer(c_in, c_out, None, k, rng, stride=stride, padding=pad)
             conv.w.data = phc.weight.f.data[0].copy()
             conv.b.data = phc.b.data.copy()
             x1 = Tensor(rng.standard_normal((2, c_in, length)), requires_grad=True)

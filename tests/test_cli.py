@@ -7,7 +7,7 @@ import pytest
 
 from hyperx.cli import main
 from hyperx.dataset import load_dataset
-from hyperx.model import H2Model, save_checkpoint
+from hyperx.model import H2Model, save_checkpoint, serialize_model
 
 from tests.conftest import tiny_model_config
 
@@ -286,6 +286,16 @@ def test_wrong_length_tuple_field_is_config_error(tmp_path, raw_dir, capsys, sec
         ({"train": {"epochs": 0, "patience": 0}}, "epochs must be >= 1"),
         ({"train": {"train_frac": 1.5}}, "train_frac must be in (0, 1)"),
         ({"train": {"split_unit": "subject"}}, "split_unit must be segment or trial"),
+        ({"train": {"patience": 0, "epochs": 3}}, "patience must be >= 1"),
+        ({"model": {"n_gsr": 0}}, "n_gsr must be >= 1"),
+        ({"model": {"kernel_size": 0}}, "kernel_size must be >= 1"),
+        # conv1d rejects these too, but only at the first forward: the message names the config field
+        ({"model": {"stride": 0}}, "error: stride must be >= 1"),
+        ({"model": {"padding": -1}}, "error: padding must be >= 0"),
+        ({"model": {"eeg_channels": [40, 0]}}, "eeg_channels must all be >= 1"),
+        ({"model": {"eye_hidden": 0}}, "eye_hidden must be >= 1"),
+        ({"model": {"gsr_width": 0}}, "gsr_width must be >= 1"),
+        ({"model": {"fusion_widths": [4096, 1024, 0]}}, "fusion_widths must all be >= 1"),
     ],
 )
 def test_out_of_range_config_value_is_usage_error(tmp_path, raw_dir, capsys, payload, match):
@@ -305,6 +315,20 @@ def test_eval_malformed_checkpoint_train_config_is_data_error(tmp_path, raw_dir,
     save_checkpoint(H2Model(tiny_model_config(), seed=0), ckpt, extra={"train_config": train_config})
     assert main(["eval", "--checkpoint", str(ckpt), "--data", str(raw_dir), "--out", str(tmp_path / "o")]) == 2
     assert match in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old,new,match",
+    [(b'"kernel_size":7', b'"kernel_size":0', "kernel_size"), (b'"n_gsr":1', b'"n_gsr":0', "n_gsr"),
+     (b'"stride":2', b'"stride":0', "stride")],
+)
+def test_eval_out_of_range_checkpoint_config_is_data_error(tmp_path, raw_dir, capsys, old, new, match):
+    ckpt = tmp_path / "bad.h2ck"
+    blob = serialize_model(H2Model(tiny_model_config(), seed=0))
+    assert old in blob
+    ckpt.write_bytes(blob.replace(old, new, 1))
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(raw_dir), "--out", str(tmp_path / "o")]) == 2
+    assert f"{match} must be >= 1" in capsys.readouterr().err
 
 
 def test_workers_flag_is_gone(tmp_path, raw_dir):

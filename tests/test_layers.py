@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from hyperx.errors import ConfigError, RankError
 from hyperx.layers import (
     BatchNorm1d,
-    Conv1d,
-    Dense,
     PHCLayer,
     PHMLayer,
     algebra_init,
@@ -182,6 +180,16 @@ def test_build_weight_linear_in_a_and_f():
     np.testing.assert_allclose(build(a, f1 + f2), build(a, f1) + build(a, f2), atol=1e-12)
 
 
+def test_n_none_layers_hold_one_plain_weight():
+    rng = np.random.default_rng(0)
+    dense = PHMLayer(6, 4, None, rng)
+    conv = PHCLayer(3, 5, None, 2, rng, bias=False)
+    assert [name for name, _ in dense.params()] == ["W", "b"]
+    assert dense.w.shape == (4, 6) and dense.weight is None and dense.param_count() == 28
+    assert [name for name, _ in conv.params()] == ["W"]
+    assert conv.w.shape == (5, 3, 2) and conv.param_count() == 30
+
+
 def test_divisibility_error_names_n_and_dimension():
     with pytest.raises(ConfigError, match="d_out=7.*n=2"):
         PHMLayer(4, 7, 2, np.random.default_rng(0))
@@ -241,7 +249,7 @@ def test_hamilton_matrices_rejects_other_n():
 def test_phm_n1_equals_dense_outputs_and_gradients():
     rng = np.random.default_rng(9)
     phm = PHMLayer(6, 4, 1, rng)
-    dense = Dense(6, 4, rng)
+    dense = PHMLayer(6, 4, None, rng)
     dense.w.data = phm.weight.f.data[0].copy()
     dense.b.data = phm.b.data.copy()
     x1 = Tensor(rng.standard_normal((5, 6)), requires_grad=True)
@@ -260,7 +268,7 @@ def test_phm_n1_equals_dense_outputs_and_gradients():
 def test_phc_n1_equals_conv_outputs_and_gradients():
     rng = np.random.default_rng(10)
     phc = PHCLayer(3, 5, 1, 3, rng, stride=2, padding=1)
-    conv = Conv1d(3, 5, 3, rng, stride=2, padding=1)
+    conv = PHCLayer(3, 5, None, 3, rng, stride=2, padding=1)
     conv.w.data = phc.weight.f.data[0].copy()
     conv.b.data = phc.b.data.copy()
     x1 = Tensor(rng.standard_normal((2, 3, 14)), requires_grad=True)

@@ -12,7 +12,7 @@ from hyperx.model import (
     deserialize_model,
     serialize_model,
 )
-from hyperx.tensor import backward, clear_tape, softmax_cross_entropy, tape_scope
+from hyperx.tensor import backward, clear_tape, no_grad, softmax_cross_entropy, tape_scope
 
 from tests.conftest import random_batch, tiny_model_config
 
@@ -266,6 +266,31 @@ def test_corrupt_config_block_is_a_format_error(old, new):
     blob_len = struct.unpack_from("<I", blob, 8)[0] + len(new) - len(old)
     with pytest.raises(FormatError, match="config block"):
         deserialize_model(patched[:8] + struct.pack("<I", blob_len) + patched[12:])
+
+
+def test_every_one_byte_config_block_overwrite_loads_or_is_a_format_error():
+    """Each config block byte set to '0', '9' and '-' in turn: the load raises
+    FormatError, or the model it returns runs an eval forward."""
+    blob = serialize_model(H2Model(tiny_model_config(), seed=6), extra={"epoch": 1})
+    batch = random_batch(np.random.default_rng(0))
+    loaded = 0
+    for i in range(12, 12 + struct.unpack_from("<I", blob, 8)[0]):
+        for ch in b"09-":
+            where = f"config byte {i - 12} ({blob[i:i + 1]!r}) set to {chr(ch)!r}"
+            try:
+                model, _ = deserialize_model(blob[:i] + bytes([ch]) + blob[i + 1 :])
+            except FormatError:
+                continue
+            except Exception as e:
+                pytest.fail(f"{where}: load raised {e!r}")
+            try:
+                with no_grad():
+                    logits = model.forward(**batch)
+            except Exception as e:
+                pytest.fail(f"{where}: loaded, then the forward raised {e!r}")
+            assert logits.shape == (2, model.cfg.num_classes), where
+            loaded += 1
+    assert loaded > 0
 
 
 def test_corrupt_tensor_name_or_shape_is_a_format_error():
