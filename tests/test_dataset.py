@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -134,6 +135,19 @@ def test_segment_unit_split_sizes(tiny_segments):
     tr, te = split_segments(tiny_segments, "arousal", 0.8, seed=0, unit="segment")
     assert len(tr) + len(te) == len(tiny_segments)
     assert abs(len(tr) - 0.8 * len(tiny_segments)) <= 3
+
+
+def test_split_segments_is_pinned(tiny_segments):
+    """Both units, both targets, three seeds: each side's trial ids and the
+    first EEG sample of each of its segments, hashed in order."""
+    h = hashlib.sha256()
+    for unit in ("segment", "trial"):
+        for target in ("arousal", "valence"):
+            for seed in (0, 1, 2):
+                for side in split_segments(tiny_segments, target, 0.8, seed, unit):
+                    h.update("\n".join(side.trial_ids.tolist()).encode() + b"\n--\n")
+                    h.update(side.eeg[:, 0, 0].tobytes())
+    assert h.hexdigest() == "2dab845d2e3cf53b8d12d7de855988d7bd058e8d0197576cd96eff9d55452378"
 
 
 # ---------------------------------------------------------------------------
