@@ -5,7 +5,8 @@ Subcommands: synth, preprocess, train, eval, gradcheck.  Exit codes:
 
 Every run writes a run.json capturing the fully resolved configuration and
 a content hash of the dataset manifest when one is involved.  Config
-precedence is defaults < --config file < explicit flags.
+precedence is defaults < --config file < explicit flags.  A flag that sets a
+config field stores under the field's own name and is absent unless given.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,7 @@ from .tensor import (
     softmax_cross_entropy,
     tensor_sum,
 )
-from .trainer import TrainConfig, evaluate, train
+from .trainer import TrainConfig, compute_metrics, train
 
 USAGE_ERROR, DATA_ERROR, CHECK_FAILURE = 1, 2, 3
 _SCHEMA_VERSION = 1
@@ -98,9 +99,9 @@ def _load_config_file(path) -> dict:
             for name, cls in _SECTIONS.items()}
 
 
-def _with_flags(cfg, flags: dict):
-    """``cfg`` overlaid with the flags that were set on the command line."""
-    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+def _with_flags(cfg, args: argparse.Namespace):
+    """``cfg`` overlaid with every given flag whose dest names one of its fields."""
+    return replace(cfg, **{f.name: getattr(args, f.name) for f in fields(cfg) if hasattr(args, f.name)})
 
 
 # ---------------------------------------------------------------------------
@@ -110,20 +111,16 @@ def _with_flags(cfg, flags: dict):
 
 def cmd_synth(args) -> int:
     out = Path(args.out)
+    if out.exists() and not out.is_dir():
+        print(f"error: output path {out} is not a directory", file=sys.stderr)
+        return DATA_ERROR
     if out.exists() and any(out.iterdir()) and not args.force:
         print(f"error: output directory {out} is not empty (use --force)", file=sys.stderr)
         return DATA_ERROR
-    spec = ds.SyntheticSpec(
-        num_subjects=args.subjects,
-        trials_per_subject=args.trials,
-        seed=args.seed,
-        noise_level=args.noise,
-        blink_rate=args.blink_rate,
-        pre_trial_ms=args.pre_trial_ms,
-    )
+    spec = _with_flags(ds.SyntheticSpec(), args)
     data = ds.generate_synthetic(spec)
     ds.save_dataset(data, out)
-    n_classes_a = np.bincount([t.arousal for t in data.trials], minlength=3)
+    n_classes_a = np.bincount([t.arousal for t in data.trials], minlength=len(ds.CLASSES))
     print(f"wrote {len(data.trials)} trials to {out}")
     print(f"subjects={spec.num_subjects} trials/subject={spec.trials_per_subject} noise={spec.noise_level}")
     print(f"arousal class counts: {n_classes_a.tolist()}")
@@ -192,21 +189,8 @@ def _train_once(segs, model_cfg: ModelConfig, train_cfg: TrainConfig, outdir: Pa
 
 def cmd_train(args) -> int:
     file_cfg = _load_config_file(args.config)
-    model_cfg = _with_flags(file_cfg["model"], {"variant": args.variant, "dropout_p": args.dropout})
-    train_flags = {
-        "target": args.target,
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "max_lr": args.max_lr,
-        "pct_start": args.pct_start,
-        "patience": args.patience,
-        "train_frac": args.train_frac,
-        "split_unit": args.split_unit,
-        "split_seed": args.split_seed,
-        "track_train_accuracy": True if args.track_train_accuracy else None,
-        "augment": False if args.no_augment else None,
-    }
-    train_cfg = _with_flags(file_cfg["train"], train_flags)
+    model_cfg = _with_flags(file_cfg["model"], args)
+    train_cfg = _with_flags(file_cfg["train"], args)
     pre_cfg = file_cfg["preprocess"]
     # range errors surface before the data loads
     model_cfg.validate()
@@ -275,39 +259,39 @@ def cmd_eval(args) -> int:
         print(f"error: checkpoint {ckpt_path} does not exist", file=sys.stderr)
         return DATA_ERROR
     model, extra = load_checkpoint(ckpt_path)
-    train_cfg = TrainConfig.from_dict(extra.get("train_config", {}), "checkpoint train_config")
-    train_cfg = _with_flags(train_cfg, {"target": args.target})
+    train_cfg = _with_flags(TrainConfig.from_dict(extra.get("train_config", {}), "checkpoint train_config"), args)
     pre_cfg = _load_config_file(args.config)["preprocess"]
     segs, raw_path = _load_segments_any(args.data, pre_cfg)
     _, test_segs = ds.split_segments(
         segs, train_cfg.target, train_cfg.train_frac, train_cfg.split_seed, train_cfg.split_unit
     )
-    report = evaluate(model, test_segs, train_cfg.target)
+    # one encoder pass per batch serves both the predictions and the embeddings
+    labels = test_segs.labels(train_cfg.target)
+    embs, preds = [], []
+    with no_grad():
+        for start in range(0, len(test_segs), 256):
+            idx = slice(start, start + 256)
+            emb = model.embed(test_segs.eeg[idx], test_segs.ecg[idx], test_segs.gsr[idx], test_segs.eye[idx])
+            preds.append(np.argmax(model.fusion.forward(emb, False, None).data, axis=1))
+            embs.append(emb.data)
+    report = compute_metrics(labels, np.concatenate(preds))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "metrics.json", {**report.to_dict(), "target": train_cfg.target})
     with (outdir / "confusion.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["true\\pred", 0, 1, 2])
+        writer.writerow(["true\\pred", *ds.CLASSES])
         for i, row in enumerate(report.confusion):
             writer.writerow([i, *row])
     print(f"n={report.n} accuracy={report.accuracy_percent:.2f}% macro_f1={report.macro_f1:.4f}")
 
     if args.emit_embeddings:
         emb_path = outdir / "embeddings.csv"
-        labels = test_segs.labels(train_cfg.target)
         with emb_path.open("w", newline="") as fh:
             writer = csv.writer(fh)
-            width = model.cfg.fusion_input_width()
-            writer.writerow([f"emb_{i}" for i in range(width)] + ["label"])
-            with no_grad():
-                for start in range(0, len(test_segs), 256):
-                    idx = slice(start, start + 256)
-                    emb = model.embed(
-                        test_segs.eeg[idx], test_segs.ecg[idx], test_segs.gsr[idx], test_segs.eye[idx]
-                    ).data
-                    for row, lab in zip(emb, labels[idx]):
-                        writer.writerow([repr(v) for v in row] + [int(lab)])
+            writer.writerow([f"emb_{i}" for i in range(model.cfg.fusion_input_width())] + ["label"])
+            for row, lab in zip(np.concatenate(embs), labels):
+                writer.writerow([repr(v) for v in row] + [int(lab)])
         print(f"wrote embeddings to {emb_path}")
     _write_run_json(outdir, "eval", {"train": train_cfg.to_dict()}, data_path=raw_path,
                     results={"macro_f1": report.macro_f1, "accuracy": report.accuracy})
@@ -442,15 +426,15 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="hyperx", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic raw dataset")
+    p = sub.add_parser("synth", help="generate a synthetic raw dataset", argument_default=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
-    p.add_argument("--subjects", type=int, default=27)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise", type=float, default=0.5)
-    p.add_argument("--blink-rate", type=float, default=1.0)
-    p.add_argument("--pre-trial-ms", type=int, default=1000)
-    p.add_argument("--force", action="store_true")
+    p.add_argument("--subjects", type=int, dest="num_subjects")
+    p.add_argument("--trials", type=int, dest="trials_per_subject")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--noise", type=float, dest="noise_level")
+    p.add_argument("--blink-rate", type=float)
+    p.add_argument("--pre-trial-ms", type=int)
+    p.add_argument("--force", action="store_true", default=False)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("preprocess", help="preprocess a raw dataset into segments")
@@ -459,34 +443,34 @@ def build_parser() -> _Parser:
     p.add_argument("--config")
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("train", help="train the classifier")
+    p = sub.add_parser("train", help="train the classifier", argument_default=argparse.SUPPRESS)
     p.add_argument("--data", required=True, help="raw dataset directory or preprocessed .npz")
     p.add_argument("--out", required=True)
-    p.add_argument("--target", choices=["arousal", "valence"])
-    p.add_argument("--variant", choices=list(VARIANTS))
-    p.add_argument("--sweep-variants", action="store_true")
-    p.add_argument("--seeds", help="comma-separated seed list")
+    p.add_argument("--target", choices=ds.TARGETS)
+    p.add_argument("--variant", choices=VARIANTS)
+    p.add_argument("--sweep-variants", action="store_true", default=False)
+    p.add_argument("--seeds", default=None, help="comma-separated seed list")
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--max-lr", type=float)
     p.add_argument("--pct-start", type=float)
     p.add_argument("--patience", type=int)
-    p.add_argument("--dropout", type=float)
+    p.add_argument("--dropout", type=float, dest="dropout_p")
     p.add_argument("--train-frac", type=float)
-    p.add_argument("--split-unit", choices=["segment", "trial"])
+    p.add_argument("--split-unit", choices=ds.SPLIT_UNITS)
     p.add_argument("--split-seed", type=int)
-    p.add_argument("--no-augment", action="store_true")
+    p.add_argument("--no-augment", action="store_false", dest="augment")
     p.add_argument("--track-train-accuracy", action="store_true")
-    p.add_argument("--config", help="JSON file with model/train/preprocess sections")
+    p.add_argument("--config", default=None, help="JSON file with model/train/preprocess sections")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint")
+    p = sub.add_parser("eval", help="evaluate a checkpoint", argument_default=argparse.SUPPRESS)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--target", choices=["arousal", "valence"])
-    p.add_argument("--emit-embeddings", action="store_true")
-    p.add_argument("--config")
+    p.add_argument("--target", choices=ds.TARGETS)
+    p.add_argument("--emit-embeddings", action="store_true", default=False)
+    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="compare tape gradients against finite differences")

@@ -30,9 +30,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import JsonConfig
-from .errors import FormatError, IntegrityError, StratificationError
+from .errors import ConfigError, FormatError, IntegrityError, StratificationError
 
 __all__ = [
+    "TARGETS",
+    "CLASSES",
+    "SPLIT_UNITS",
     "RAW_MODALITIES",
     "SEGMENT_SHAPES",
     "TRIAL_SECONDS",
@@ -58,6 +61,11 @@ __all__ = [
     "load_segments",
 ]
 
+# The classification targets, their label classes and the units a split may keep whole.
+TARGETS = ("arousal", "valence")
+CLASSES = (0, 1, 2)
+SPLIT_UNITS = ("segment", "trial")
+
 # (name, channels, native rate). Raw eye data carries left and right eye
 # blocks of four quantities each: gaze-x, gaze-y, distance, pupil.
 RAW_MODALITIES = (("eeg", 10, 256), ("ecg", 3, 256), ("gsr", 1, 256), ("eye", 8, 60))
@@ -80,7 +88,7 @@ _FORMAT_NAME = "hyperx-raw-v1"
 
 @dataclass
 class RawTrial:
-    """One synchronized recording at native rates, labels in {0, 1, 2}.
+    """One synchronized recording at native rates, labels in ``CLASSES``.
 
     Arrays cover pre_trial_ms of leading context followed by the 30 s trial.
     """
@@ -103,10 +111,10 @@ class RawTrial:
                 raise FormatError(
                     f"trial {self.trial_id}: {name} shape {arr.shape} != ({channels}, {want_len})"
                 )
-        for label_name in ("arousal", "valence"):
+        for label_name in TARGETS:
             v = getattr(self, label_name)
-            if v not in (0, 1, 2):
-                raise FormatError(f"trial {self.trial_id}: {label_name}={v} not in {{0,1,2}}")
+            if v not in CLASSES:
+                raise FormatError(f"trial {self.trial_id}: {label_name}={v} not in {set(CLASSES)}")
 
     def modality(self, name: str) -> np.ndarray:
         return getattr(self, name)
@@ -157,6 +165,17 @@ class SyntheticSpec(JsonConfig):
     blink_ms: float = 150.0
     pre_trial_ms: int = 1000
 
+    def validate(self):
+        for name in ("num_subjects", "trials_per_subject"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.blink_rate < 0:
+            raise ConfigError(f"blink_rate must be >= 0, got {self.blink_rate}")
+        rates = sorted({rate for _, _, rate in RAW_MODALITIES}, reverse=True)
+        if self.pre_trial_ms < 0 or any(rate * self.pre_trial_ms % 1000 for rate in rates):
+            raise ConfigError(f"pre_trial_ms must be >= 0 and give whole sample counts at {rates} Hz, "
+                              f"got {self.pre_trial_ms}")
+
 
 def class_phase_step(label: int, n_channels: int) -> float:
     """Adjacent-channel phase increment encoding ``label``.
@@ -178,6 +197,7 @@ def _class_signal(t, freq, label, n_channels, phase0, amplitude):
 
 def generate_synthetic(spec: SyntheticSpec) -> TrialDataset:
     """Emit RawTrial-format trials; byte-deterministic for a given seed."""
+    spec.validate()
     rng = np.random.default_rng(spec.seed)
     n256 = _samples(256, spec.pre_trial_ms)
     n60 = _samples(60, spec.pre_trial_ms)
@@ -189,8 +209,8 @@ def generate_synthetic(spec: SyntheticSpec) -> TrialDataset:
     idx = 0
     for subject in range(spec.num_subjects):
         for _ in range(spec.trials_per_subject):
-            arousal = idx % 3
-            valence = (idx // 3) % 3
+            arousal = CLASSES[idx % len(CLASSES)]
+            valence = CLASSES[(idx // len(CLASSES)) % len(CLASSES)]
 
             def tone_pair(t, n_ch):
                 pa, pv = rng.uniform(0, 2 * math.pi, size=2)
@@ -249,13 +269,13 @@ def _phase_vote(x: np.ndarray, fs: float, freq: float) -> int:
         raise ValueError(f"freq {freq} is not an exact DFT bin for length {n} at fs={fs}")
     spectrum = np.fft.rfft(x, axis=1)[:, int(round(k))]
     phases = np.angle(spectrum)
-    candidates = [class_phase_step(label, x.shape[0]) for label in range(3)]
+    candidates = [class_phase_step(label, x.shape[0]) for label in CLASSES]
     votes = []
     for c in range(x.shape[0] - 1):
         delta = phases[c + 1] - phases[c]
         dist = [abs(math.remainder(delta - theta, 2.0 * math.pi)) for theta in candidates]
         votes.append(int(np.argmin(dist)))
-    return int(np.bincount(votes, minlength=3).argmax())
+    return int(np.bincount(votes, minlength=len(CLASSES)).argmax())
 
 
 def phase_oracle_labels(ds: TrialDataset, target: str, spec: SyntheticSpec | None = None) -> np.ndarray:
@@ -294,8 +314,8 @@ class SegmentSet:
         return self.eeg.shape[0]
 
     def labels(self, target: str) -> np.ndarray:
-        if target not in ("arousal", "valence"):
-            raise ValueError(f"target must be arousal or valence, got {target!r}")
+        if target not in TARGETS:
+            raise ValueError(f"target must be {' or '.join(TARGETS)}, got {target!r}")
         return getattr(self, target)
 
     def take(self, idx) -> "SegmentSet":
@@ -336,21 +356,16 @@ def split_segments(
     seed: int = 0,
     unit: str = "segment",
 ):
-    """Stratified train/test split of a SegmentSet.
-
-    unit="segment" stratifies individual segments; unit="trial" stratifies
-    whole trials so no trial contributes segments to both sides.
+    """Stratified train/test split of a SegmentSet that keeps each group of
+    ``unit`` whole: a group is one segment for unit="segment" and one trial
+    for unit="trial", so no trial then contributes segments to both sides.
     """
-    if unit == "segment":
-        tr, te = stratified_split(segs.labels(target), train_frac, seed)
-        return segs.take(tr), segs.take(te)
-    if unit != "trial":
-        raise ValueError(f"unit must be 'segment' or 'trial', got {unit!r}")
-    trial_ids, first = np.unique(segs.trial_ids, return_index=True)
-    trial_labels = segs.labels(target)[first]
-    tr_trials, te_trials = stratified_split(trial_labels, train_frac, seed)
-    tr_set = set(trial_ids[tr_trials])
-    mask = np.array([tid in tr_set for tid in segs.trial_ids])
+    if unit not in SPLIT_UNITS:
+        raise ValueError(f"unit must be {' or '.join(map(repr, SPLIT_UNITS))}, got {unit!r}")
+    groups = np.arange(len(segs)) if unit == "segment" else segs.trial_ids
+    keys, first = np.unique(groups, return_index=True)
+    train_keys, _ = stratified_split(segs.labels(target)[first], train_frac, seed)
+    mask = np.isin(groups, keys[train_keys])
     return segs.take(np.flatnonzero(mask)), segs.take(np.flatnonzero(~mask))
 
 
@@ -362,7 +377,7 @@ def augment_segments(segs: SegmentSet, rng: np.random.Generator) -> SegmentSet:
     equal to -1 (blink markers) pass through exactly.
     """
     out = {}
-    for name in ("eeg", "ecg", "gsr", "eye"):
+    for name in SEGMENT_SHAPES:
         x = getattr(segs, name)
         mask = x == -1.0 if name == "eye" else None
         s = rng.uniform(0.8, 1.2, size=(x.shape[0], 1, 1))
@@ -378,8 +393,8 @@ def augment_segments(segs: SegmentSet, rng: np.random.Generator) -> SegmentSet:
             y[mask] = -1.0
         out[name] = y
     return SegmentSet(
-        out["eeg"], out["ecg"], out["gsr"], out["eye"],
-        segs.arousal.copy(), segs.valence.copy(), segs.trial_ids.copy(), segs.subjects.copy(),
+        **out, arousal=segs.arousal.copy(), valence=segs.valence.copy(),
+        trial_ids=segs.trial_ids.copy(), subjects=segs.subjects.copy(),
     )
 
 
@@ -512,7 +527,7 @@ def save_segments(segs: SegmentSet, path, meta: dict | None = None):
 
 def load_segments(path) -> tuple[SegmentSet, dict]:
     """Read a ``save_segments`` archive.  A missing array, arrays of unequal
-    length, a label outside {0, 1, 2}, a wrong segment shape or a ``meta``
+    length, a label outside ``CLASSES``, a wrong segment shape or a ``meta``
     that is not JSON is a FormatError; a non-finite signal an IntegrityError."""
     with np.load(path, allow_pickle=False) as z:
         try:
@@ -533,8 +548,8 @@ def load_segments(path) -> tuple[SegmentSet, dict]:
             arrays[name] = arr = arr.astype(np.float64)
             if not np.isfinite(arr).all():
                 raise IntegrityError(f"{where} {name!r} holds non-finite values")
-        elif name in ("arousal", "valence") and (arr.dtype.kind not in "iu" or not np.isin(arr, (0, 1, 2)).all()):
-            raise FormatError(f"{where} {name!r} holds labels outside {{0, 1, 2}}")
+        elif name in TARGETS and (arr.dtype.kind not in "iu" or not np.isin(arr, CLASSES).all()):
+            raise FormatError(f"{where} {name!r} holds labels outside {set(CLASSES)}")
     segs = SegmentSet(**arrays)
     segs.validate_shapes()
     return segs, meta

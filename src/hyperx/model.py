@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import JsonConfig
-from .dataset import SEGMENT_SHAPES
+from .dataset import CLASSES, SEGMENT_SHAPES
 from .errors import ConfigError, DimensionError, FormatError, InputValidationError
 from .layers import BatchNorm1d, Dropout, PHCLayer, PHMLayer
 from .tensor import Tensor, concat, global_avg_pool, relu, reshape
@@ -77,7 +77,7 @@ class ModelConfig(JsonConfig):
     fusion_n: int = 4
     fusion_widths: tuple = (4096, 1024, 256)
     dropout_p: float = 0.5
-    num_classes: int = 3
+    num_classes: int = len(CLASSES)
     share_encoder_algebra: bool = False
 
     def modality_n(self, name: str) -> int:
@@ -119,6 +119,8 @@ class ModelConfig(JsonConfig):
                 raise ConfigError(f"fusion width {d} is not divisible by n={self.fusion_n}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
+        if self.num_classes != len(CLASSES):
+            raise ConfigError(f"num_classes must be {len(CLASSES)} (labels {list(CLASSES)}), got {self.num_classes}")
 
 
 class _Encoder:

@@ -41,7 +41,9 @@ from .config import JsonConfig
 from .dataset import (
     EYE_RATE,
     SEGMENT_SECONDS,
+    SEGMENT_SHAPES,
     TARGET_RATE,
+    TARGETS,
     RawTrial,
     SegmentSet,
     TrialDataset,
@@ -278,7 +280,7 @@ def preprocess_dataset(ds: TrialDataset, cfg: PreprocessConfig | None = None) ->
         run = list(run)
         for start in range(0, len(run), BLOCK_TRIALS):
             block = run[start : start + BLOCK_TRIALS]
-            stacked = (np.stack([t.modality(name) for t in block]) for name in ("eeg", "ecg", "gsr", "eye"))
+            stacked = (np.stack([t.modality(name) for t in block]) for name in SEGMENT_SHAPES)
             arrays = _chain(*stacked, pre_trial_ms, cfg)
             for i, t in enumerate(block):
                 pt = PreprocessedTrial(t.trial_id, t.subject, t.arousal, t.valence, *(a[i] for a in arrays))
@@ -286,12 +288,8 @@ def preprocess_dataset(ds: TrialDataset, cfg: PreprocessConfig | None = None) ->
     if not flat:
         raise ConfigError("no segments produced; are the trials long enough?")
     return SegmentSet(
-        eeg=np.stack([s["eeg"] for s in flat]),
-        ecg=np.stack([s["ecg"] for s in flat]),
-        gsr=np.stack([s["gsr"] for s in flat]),
-        eye=np.stack([s["eye"] for s in flat]),
-        arousal=np.array([s["arousal"] for s in flat], dtype=np.int64),
-        valence=np.array([s["valence"] for s in flat], dtype=np.int64),
+        **{name: np.stack([s[name] for s in flat]) for name in SEGMENT_SHAPES},
+        **{name: np.array([s[name] for s in flat], dtype=np.int64) for name in TARGETS},
         trial_ids=np.array([s["trial_id"] for s in flat]),
         subjects=np.array([s["subject"] for s in flat], dtype=np.int64),
     )

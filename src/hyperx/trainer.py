@@ -16,12 +16,12 @@ from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .config import JsonConfig
-from .dataset import SegmentSet, augment_segments
+from .dataset import CLASSES, SPLIT_UNITS, TARGETS, SegmentSet, augment_segments
 from .errors import ConfigError, GradientError
 from .model import H2Model, serialize_model
 from .tensor import clear_tape, no_grad, softmax_cross_entropy, zero_grads
@@ -75,12 +75,12 @@ class TrainConfig(JsonConfig):
             raise ConfigError(f"batch_size must be >= 2 (train-mode batch norm), got {self.batch_size}")
         if not 0.0 < self.train_frac < 1.0:
             raise ConfigError(f"train_frac must be in (0, 1), got {self.train_frac}")
-        if self.split_unit not in ("segment", "trial"):
-            raise ConfigError(f"split_unit must be segment or trial, got {self.split_unit!r}")
+        if self.split_unit not in SPLIT_UNITS:
+            raise ConfigError(f"split_unit must be {' or '.join(SPLIT_UNITS)}, got {self.split_unit!r}")
         if self.patience > self.epochs:
             raise ConfigError(f"patience {self.patience} exceeds epochs {self.epochs}")
-        if self.target not in ("arousal", "valence"):
-            raise ConfigError(f"target must be arousal or valence, got {self.target!r}")
+        if self.target not in TARGETS:
+            raise ConfigError(f"target must be {' or '.join(TARGETS)}, got {self.target!r}")
 
 
 def one_cycle(step: int, total_steps: int, cfg: TrainConfig) -> tuple[float, float]:
@@ -199,17 +199,10 @@ class MetricsReport:
         return 100.0 * self.accuracy
 
     def to_dict(self):
-        return {
-            "accuracy": self.accuracy,
-            "accuracy_percent": self.accuracy_percent,
-            "macro_f1": self.macro_f1,
-            "per_class": self.per_class,
-            "confusion": self.confusion,
-            "n": self.n,
-        }
+        return {**asdict(self), "accuracy_percent": self.accuracy_percent}
 
 
-def compute_metrics(y_true, y_pred, num_classes: int = 3) -> MetricsReport:
+def compute_metrics(y_true, y_pred, num_classes: int = len(CLASSES)) -> MetricsReport:
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
     cm = np.zeros((num_classes, num_classes), dtype=np.int64)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import shutil
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 
 from hyperx.cli import main
 from hyperx.dataset import load_dataset
+from hyperx.dataset import SyntheticSpec
 from hyperx.model import H2Model, save_checkpoint, serialize_model
+from hyperx.trainer import TrainConfig
 
 from tests.conftest import tiny_model_config
 
@@ -57,6 +60,30 @@ def test_synth_rerun_is_byte_identical(tmp_path, raw_dir):
     assert main(["synth", "--out", str(other), "--subjects", "2", "--trials", "6", "--seed", "5", "--noise", "0.3"]) == 0
     for f in sorted((raw_dir / "trials").iterdir()):
         assert f.read_bytes() == (other / "trials" / f.name).read_bytes()
+
+
+def test_synth_out_naming_a_file_is_data_error(tmp_path, capsys):
+    out = tmp_path / "file"
+    out.write_text("x")
+    assert main(["synth", "--out", str(out), "--subjects", "1", "--trials", "3"]) == 2
+    assert f"output path {out} is not a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags,match",
+    [
+        (["--subjects", "0"], "num_subjects must be >= 1"),
+        (["--trials", "-2"], "trials_per_subject must be >= 1"),
+        (["--pre-trial-ms", "7"], "pre_trial_ms must be >= 0 and give whole sample counts at [256, 60] Hz"),
+        (["--pre-trial-ms", "-250"], "pre_trial_ms must be >= 0"),
+        (["--blink-rate", "-1"], "blink_rate must be >= 0"),
+    ],
+)
+def test_synth_out_of_range_flag_is_usage_error(tmp_path, capsys, flags, match):
+    out = tmp_path / "raw"
+    assert main(["synth", "--out", str(out), *flags]) == 1
+    assert match in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_preprocess_writes_segments(tmp_path, raw_dir):
@@ -132,6 +159,20 @@ def test_eval_emits_embeddings_with_label_column(tmp_path, raw_dir, trained_dir)
     assert all(len(r) == width + 1 for r in rows[1:])
 
 
+def test_eval_embeds_each_test_batch_once(tmp_path, raw_dir, trained_dir, monkeypatch):
+    calls = []
+    embed = H2Model.embed
+    monkeypatch.setattr(H2Model, "embed", lambda self, *a, **k: calls.append(1) or embed(self, *a, **k))
+    out = tmp_path / "eval_once"
+    code = main(
+        ["eval", "--checkpoint", str(trained_dir / "checkpoint.h2ck"), "--data", str(raw_dir),
+         "--out", str(out), "--emit-embeddings"]
+    )
+    assert code == 0
+    n = json.loads((out / "metrics.json").read_text())["n"]
+    assert len(calls) == math.ceil(n / 256)
+
+
 def test_eval_missing_checkpoint_is_data_error(tmp_path, raw_dir):
     code = main(["eval", "--checkpoint", str(tmp_path / "nope.h2ck"), "--data", str(raw_dir), "--out", str(tmp_path)])
     assert code == 2
@@ -173,6 +214,80 @@ def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train"])  # missing required flags
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("command", [[], ["synth"], ["preprocess"], ["train"], ["eval"], ["gradcheck"]])
+def test_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    assert "usage: hyperx" in capsys.readouterr().out
+
+
+# flag and value -> (run.json section, config field, resolved value)
+SYNTH_FLAGS = {
+    ("--subjects", "1"): ("synthetic_spec", "num_subjects", 1),
+    ("--trials", "3"): ("synthetic_spec", "trials_per_subject", 3),
+    ("--seed", "9"): ("synthetic_spec", "seed", 9),
+    ("--noise", "0.25"): ("synthetic_spec", "noise_level", 0.25),
+    ("--blink-rate", "0.5"): ("synthetic_spec", "blink_rate", 0.5),
+    ("--pre-trial-ms", "500"): ("synthetic_spec", "pre_trial_ms", 500),
+}
+TRAIN_FLAGS = {
+    ("--target", "valence"): ("train", "target", "valence"),
+    ("--variant", "linear"): ("model", "variant", "linear"),
+    ("--epochs", "1"): ("train", "epochs", 1),
+    ("--batch-size", "8"): ("train", "batch_size", 8),
+    ("--max-lr", "0.001"): ("train", "max_lr", 0.001),
+    ("--pct-start", "0.3"): ("train", "pct_start", 0.3),
+    ("--patience", "1"): ("train", "patience", 1),
+    ("--dropout", "0.25"): ("model", "dropout_p", 0.25),
+    ("--train-frac", "0.7"): ("train", "train_frac", 0.7),
+    ("--split-unit", "trial"): ("train", "split_unit", "trial"),
+    ("--split-seed", "3"): ("train", "split_seed", 3),
+    ("--no-augment",): ("train", "augment", False),
+    ("--track-train-accuracy",): ("train", "track_train_accuracy", True),
+}
+EVAL_FLAGS = {("--target", "arousal"): ("train", "target", "arousal")}
+
+
+def _resolved_with(defaults: dict, flags: dict) -> dict:
+    """``defaults`` ({section: {field: value}}) overlaid with the resolved values of ``flags``."""
+    out = {section: dict(fields) for section, fields in defaults.items()}
+    for section, field, value in flags.values():
+        out[section][field] = value
+    return out
+
+
+def test_config_flags_land_under_their_field_names(tmp_path, raw_dir, config_file):
+    out = tmp_path / "synth"
+    assert main(["synth", "--out", str(out), *(a for flag in SYNTH_FLAGS for a in flag)]) == 0
+    run = json.loads((out / "run.json").read_text())["resolved_config"]
+    assert run == _resolved_with({"synthetic_spec": SyntheticSpec().to_dict()}, SYNTH_FLAGS)
+
+    file_cfg = json.loads(config_file.read_text())
+    out = tmp_path / "train"
+    argv = ["train", "--data", str(raw_dir), "--out", str(out), "--config", str(config_file)]
+    assert main([*argv, *(a for flag in TRAIN_FLAGS for a in flag)]) == 0
+    run = json.loads((out / "run.json").read_text())["resolved_config"]
+    defaults = {"model": file_cfg["model"], "train": {**TrainConfig().to_dict(), **file_cfg["train"]}}
+    assert {k: run[k] for k in defaults} == _resolved_with(defaults, TRAIN_FLAGS)
+
+    trained = run["train"]  # saved in the checkpoint; eval's --target overrides its target
+    argv = ["eval", "--checkpoint", str(out / "checkpoint.h2ck"), "--data", str(raw_dir), "--out", str(tmp_path / "e")]
+    assert main([*argv, *(a for flag in EVAL_FLAGS for a in flag)]) == 0
+    run = json.loads((tmp_path / "e" / "run.json").read_text())["resolved_config"]
+    assert run == _resolved_with({"train": trained}, EVAL_FLAGS)
+
+    # a flag that is not given leaves the file's value alone, a false boolean included
+    cfg = tmp_path / "cfg.json"
+    train_file = {"epochs": 1, "patience": 1, "batch_size": 8, "augment": False, "track_train_accuracy": True}
+    cfg.write_text(json.dumps({"model": {**file_cfg["model"], "variant": "linear"}, "train": train_file}))
+    out = tmp_path / "train_file_only"
+    assert main(["train", "--data", str(raw_dir), "--out", str(out), "--config", str(cfg)]) == 0
+    run = json.loads((out / "run.json").read_text())["resolved_config"]
+    assert run["train"] == {**TrainConfig().to_dict(), **train_file}
+    assert run["model"]["variant"] == "linear"
 
 
 def test_gradcheck_quick_layers_pass(capsys):
@@ -296,6 +411,8 @@ def test_wrong_length_tuple_field_is_config_error(tmp_path, raw_dir, capsys, sec
         ({"model": {"eye_hidden": 0}}, "eye_hidden must be >= 1"),
         ({"model": {"gsr_width": 0}}, "gsr_width must be >= 1"),
         ({"model": {"fusion_widths": [4096, 1024, 0]}}, "fusion_widths must all be >= 1"),
+        ({"model": {"num_classes": 4}}, "num_classes must be 3 (labels [0, 1, 2]), got 4"),
+        ({"model": {"num_classes": 2}}, "num_classes must be 3 (labels [0, 1, 2]), got 2"),
     ],
 )
 def test_out_of_range_config_value_is_usage_error(tmp_path, raw_dir, capsys, payload, match):
@@ -329,6 +446,15 @@ def test_eval_out_of_range_checkpoint_config_is_data_error(tmp_path, raw_dir, ca
     ckpt.write_bytes(blob.replace(old, new, 1))
     assert main(["eval", "--checkpoint", str(ckpt), "--data", str(raw_dir), "--out", str(tmp_path / "o")]) == 2
     assert f"{match} must be >= 1" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_with_another_num_classes_is_data_error(tmp_path, raw_dir, capsys):
+    ckpt = tmp_path / "bad.h2ck"
+    blob = serialize_model(H2Model(tiny_model_config(), seed=0))
+    assert b'"num_classes":3' in blob
+    ckpt.write_bytes(blob.replace(b'"num_classes":3', b'"num_classes":4', 1))
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(raw_dir), "--out", str(tmp_path / "o")]) == 2
+    assert "num_classes must be 3" in capsys.readouterr().err
 
 
 def test_workers_flag_is_gone(tmp_path, raw_dir):

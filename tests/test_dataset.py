@@ -21,7 +21,7 @@ from hyperx.dataset import (
     split_segments,
     stratified_split,
 )
-from hyperx.errors import FormatError, IntegrityError, StratificationError
+from hyperx.errors import ConfigError, FormatError, IntegrityError, StratificationError
 from hyperx.sigproc import preprocess_dataset
 
 
@@ -35,6 +35,15 @@ def test_generation_is_deterministic():
         np.testing.assert_array_equal(ta.eeg, tb.eeg)
         np.testing.assert_array_equal(ta.eye, tb.eye)
         assert (ta.arousal, ta.valence) == (tb.arousal, tb.valence)
+
+
+@pytest.mark.parametrize(
+    "field,value", [("num_subjects", 0), ("trials_per_subject", -2), ("blink_rate", -1.0), ("pre_trial_ms", 7),
+                    ("pre_trial_ms", 125), ("pre_trial_ms", -250)]
+)
+def test_generate_synthetic_rejects_out_of_range_spec(field, value):
+    with pytest.raises(ConfigError, match=field):
+        generate_synthetic(SyntheticSpec(**{field: value}))
 
 
 def test_trial_counts_and_balanced_labels():
