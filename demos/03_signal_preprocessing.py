@@ -60,4 +60,4 @@ print(f"  eye  {trial.eye.shape} -> {pt.eye.shape} (left/right merged, blinks ke
 ref_twice = average_reference(average_reference(trial.eeg))
 print(f"  average reference idempotent: {np.abs(ref_twice - average_reference(trial.eeg)).max():.1e}")
 segments = segment_trial(pt)
-print(f"  segments: {len(segments)} x EEG {segments[0]['eeg'].shape}, eye {segments[0]['eye'].shape}")
+print(f"  segments: a SegmentSet of {len(segments)}, EEG {segments.eeg.shape}, eye {segments.eye.shape}")

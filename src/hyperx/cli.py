@@ -41,7 +41,7 @@ from .tensor import (
     softmax_cross_entropy,
     tensor_sum,
 )
-from .trainer import TrainConfig, compute_metrics, train
+from .trainer import EVAL_BATCH_SIZE, TrainConfig, compute_metrics, train
 
 USAGE_ERROR, DATA_ERROR, CHECK_FAILURE = 1, 2, 3
 _SCHEMA_VERSION = 1
@@ -147,6 +147,7 @@ def _load_segments_any(path, preprocess_cfg=None):
 
 def cmd_preprocess(args) -> int:
     cfg = _load_config_file(args.config)["preprocess"]
+    cfg.validate()
     raw = ds.load_dataset(args.data)
     segs = sigproc.preprocess_dataset(raw, cfg)
     out = Path(args.out)
@@ -195,8 +196,12 @@ def cmd_train(args) -> int:
     # range errors surface before the data loads
     model_cfg.validate()
     train_cfg.validate()
+    pre_cfg.validate()
 
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [train_cfg.seed]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [train_cfg.seed]
+    except ValueError:
+        raise ConfigError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
     variants = list(VARIANTS) if args.sweep_variants else [model_cfg.variant]
 
     segs, raw_path = _load_segments_any(args.data, pre_cfg)
@@ -254,13 +259,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    pre_cfg = _load_config_file(args.config)["preprocess"]
+    pre_cfg.validate()
     ckpt_path = Path(args.checkpoint)
     if not ckpt_path.exists():
         print(f"error: checkpoint {ckpt_path} does not exist", file=sys.stderr)
         return DATA_ERROR
     model, extra = load_checkpoint(ckpt_path)
     train_cfg = _with_flags(TrainConfig.from_dict(extra.get("train_config", {}), "checkpoint train_config"), args)
-    pre_cfg = _load_config_file(args.config)["preprocess"]
     segs, raw_path = _load_segments_any(args.data, pre_cfg)
     _, test_segs = ds.split_segments(
         segs, train_cfg.target, train_cfg.train_frac, train_cfg.split_seed, train_cfg.split_unit
@@ -269,8 +275,8 @@ def cmd_eval(args) -> int:
     labels = test_segs.labels(train_cfg.target)
     embs, preds = [], []
     with no_grad():
-        for start in range(0, len(test_segs), 256):
-            idx = slice(start, start + 256)
+        for start in range(0, len(test_segs), EVAL_BATCH_SIZE):
+            idx = slice(start, start + EVAL_BATCH_SIZE)
             emb = model.embed(test_segs.eeg[idx], test_segs.ecg[idx], test_segs.gsr[idx], test_segs.eye[idx])
             preds.append(np.argmax(model.fusion.forward(emb, False, None).data, axis=1))
             embs.append(emb.data)
@@ -291,7 +297,7 @@ def cmd_eval(args) -> int:
             writer = csv.writer(fh)
             writer.writerow([f"emb_{i}" for i in range(model.cfg.fusion_input_width())] + ["label"])
             for row, lab in zip(np.concatenate(embs), labels):
-                writer.writerow([repr(v) for v in row] + [int(lab)])
+                writer.writerow([*row.tolist(), int(lab)])
         print(f"wrote embeddings to {emb_path}")
     _write_run_json(outdir, "eval", {"train": train_cfg.to_dict()}, data_path=raw_path,
                     results={"macro_f1": report.macro_f1, "accuracy": report.accuracy})

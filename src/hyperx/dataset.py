@@ -24,7 +24,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -392,10 +392,7 @@ def augment_segments(segs: SegmentSet, rng: np.random.Generator) -> SegmentSet:
         if mask is not None:
             y[mask] = -1.0
         out[name] = y
-    return SegmentSet(
-        **out, arousal=segs.arousal.copy(), valence=segs.valence.copy(),
-        trial_ids=segs.trial_ids.copy(), subjects=segs.subjects.copy(),
-    )
+    return replace(segs, **out)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ Pipeline per trial (pure function of the trial and the config):
    precedes trial onset; EEG/ECG need none after high-pass filtering,
    so their pre-trial context is simply dropped.
 7. Eye: average left/right per quantity, keeping -1 blink markers.
-8. Cut into consecutive 10 s segments.
+8. Cut into 10 s windows: a ``SegmentSet`` of views per trial, which
+   ``preprocess_dataset`` concatenates into the one copy of each window.
 
 All IIR filtering is forward-backward (zero phase) with odd-reflection
 padding of three filter lengths at each end.
@@ -32,9 +33,10 @@ from __future__ import annotations
 import itertools
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sps
 
 from .config import JsonConfig
@@ -89,8 +91,8 @@ class IIRFilterSpec:
                 raise ConfigError(f"lowpass corner {self.high} invalid for fs={fs}")
             return sps.butter(self.order, self.high, btype="lowpass", fs=fs, output="sos")
         if self.kind == "notch":
-            if not 0 < self.high < nyq:
-                raise ConfigError(f"notch frequency {self.high} invalid for fs={fs}")
+            if not (0 < self.high < nyq and self.notch_q > 0):
+                raise ConfigError(f"notch frequency {self.high} or Q {self.notch_q} invalid for fs={fs}")
             b, a = sps.iirnotch(self.high, self.notch_q, fs=fs)
             return sps.tf2sos(b, a)
         raise ConfigError(f"unknown filter kind {self.kind!r}")
@@ -164,6 +166,21 @@ class PreprocessConfig(JsonConfig):
     baseline_ms: float = 200.0
     segment_overlap_seconds: float = 0.0
 
+    def validate(self):
+        nyq = TARGET_RATE / 2
+        for name in ("eeg_band", "ecg_band"):
+            band = list(getattr(self, name))
+            if len(band) != 2 or not 0 < band[0] < band[1] < nyq:
+                raise ConfigError(f"{name} must be two increasing corners in (0, {nyq:g}) Hz, got {band}")
+        # open ranges: the GSR low-pass runs at 256 Hz; the baseline must span one 128 Hz sample
+        for name, low, high in (("filter_order", 0, np.inf), ("gsr_lowpass_hz", 0, 128), ("notch_hz", 0, nyq),
+                                ("notch_q", 0, np.inf), ("baseline_ms", 500 / TARGET_RATE, np.inf)):
+            if not low < getattr(self, name) < high:
+                raise ConfigError(f"{name} must be in ({low:g}, {high:g}), got {getattr(self, name)}")
+        if not 0 <= self.segment_overlap_seconds < SEGMENT_SECONDS:
+            raise ConfigError(f"segment_overlap_seconds must be in [0, {SEGMENT_SECONDS}), "
+                              f"got {self.segment_overlap_seconds}")
+
 
 @dataclass
 class PreprocessedTrial:
@@ -177,17 +194,10 @@ class PreprocessedTrial:
     eye: np.ndarray  # [4,  30 s * 60]
 
 
-def _bandpass(cfg: PreprocessConfig, key: str) -> IIRFilterSpec:
-    """The band-pass filter of config field ``key``, a [low, high] pair in Hz."""
-    band = getattr(cfg, key)
-    if len(band) != 2:
-        raise ConfigError(f"{key} must be two corner frequencies [low, high], got {list(band)}")
-    return IIRFilterSpec("bandpass", *band, order=cfg.filter_order)
-
-
 def _chain(eeg, ecg, gsr, eye, pre_trial_ms: int, cfg: PreprocessConfig):
     """Steps 1-7 of the module docstring on one trial's [C, L] arrays or a
     block's [N, C, L] arrays; returns (eeg, ecg, gsr, eye) of the trial portion."""
+    cfg.validate()
     pre128 = int(round(TARGET_RATE * pre_trial_ms / 1000.0))
     pre60 = int(round(EYE_RATE * pre_trial_ms / 1000.0))
 
@@ -198,8 +208,8 @@ def _chain(eeg, ecg, gsr, eye, pre_trial_ms: int, cfg: PreprocessConfig):
     gsr = downsample_by2(gsr, 256.0)
 
     eeg = average_reference(eeg)
-    eeg = apply_filter(eeg, _bandpass(cfg, "eeg_band"), float(TARGET_RATE))
-    ecg = apply_filter(ecg, _bandpass(cfg, "ecg_band"), float(TARGET_RATE))
+    eeg = apply_filter(eeg, IIRFilterSpec("bandpass", *cfg.eeg_band, order=cfg.filter_order), float(TARGET_RATE))
+    ecg = apply_filter(ecg, IIRFilterSpec("bandpass", *cfg.ecg_band, order=cfg.filter_order), float(TARGET_RATE))
 
     notch = IIRFilterSpec("notch", high=cfg.notch_hz, notch_q=cfg.notch_q)
     eeg = apply_filter(eeg, notch, float(TARGET_RATE))
@@ -215,42 +225,27 @@ def preprocess_trial(trial: RawTrial, cfg: PreprocessConfig | None = None) -> Pr
     return PreprocessedTrial(trial.trial_id, trial.subject, trial.arousal, trial.valence, *arrays)
 
 
-def segment_trial(pt: PreprocessedTrial, overlap_seconds: float = 0.0):
-    """Cut a preprocessed trial into ``SEGMENT_SECONDS`` windows, the model's input.
-
-    Windows are consecutive and non-overlapping by default (3 per 30 s
-    trial); a positive overlap shrinks the hop.  Trials shorter than one
-    window emit nothing, with a warning.
-    """
-    win_s = float(SEGMENT_SECONDS)
-    hop_s = win_s - overlap_seconds
-    if hop_s <= 0:
-        raise ConfigError(f"overlap {overlap_seconds} s >= window {win_s} s")
-    win128, hop128 = int(round(win_s * TARGET_RATE)), int(round(hop_s * TARGET_RATE))
-    win60, hop60 = int(round(win_s * EYE_RATE)), int(round(hop_s * EYE_RATE))
-    duration = pt.eeg.shape[1] / TARGET_RATE
-    n = int((pt.eeg.shape[1] - win128) // hop128) + 1 if pt.eeg.shape[1] >= win128 else 0
-    if n * hop_s + overlap_seconds < duration - 1e-9 and n != 3:
-        warnings.warn(
-            f"trial {pt.trial_id}: {duration:.1f} s yields {n} segment(s) of {win_s:.0f} s",
-            stacklevel=2,
-        )
-    segments = []
-    for k in range(n):
-        s128, s60 = k * hop128, k * hop60
-        segments.append(
-            dict(
-                eeg=pt.eeg[:, s128 : s128 + win128],
-                ecg=pt.ecg[:, s128 : s128 + win128],
-                gsr=pt.gsr[:, s128 : s128 + win128],
-                eye=pt.eye[:, s60 : s60 + win60],
-                arousal=pt.arousal,
-                valence=pt.valence,
-                trial_id=pt.trial_id,
-                subject=pt.subject,
-            )
-        )
-    return segments
+def segment_trial(pt: PreprocessedTrial, overlap_seconds: float = 0.0) -> SegmentSet:
+    """Cut a preprocessed trial into ``SEGMENT_SECONDS`` windows, the model's input:
+    consecutive by default (3 per 30 s trial), closer by ``overlap_seconds``.  Windows
+    that leave the trial's end uncovered warn.  The signals are read-only views of ``pt``'s arrays."""
+    if not 0 <= overlap_seconds < SEGMENT_SECONDS:
+        raise ConfigError(f"segment_overlap_seconds must be in [0, {SEGMENT_SECONDS}), got {overlap_seconds}")
+    hop_s = SEGMENT_SECONDS - overlap_seconds
+    # (signal, window, hop) in samples at each modality's rate; a hop is at least one sample
+    cuts = {name: (getattr(pt, name), width, max(1, round(hop_s * (width // SEGMENT_SECONDS))))
+            for name, (_, width) in SEGMENT_SHAPES.items()}
+    n = max(0, min((x.shape[-1] - width) // hop + 1 for x, width, hop in cuts.values()))
+    eeg, width, hop = cuts["eeg"]
+    if n == 0 or (n - 1) * hop + width < eeg.shape[-1]:
+        warnings.warn(f"trial {pt.trial_id}: {n} segment(s) leave the end of its {eeg.shape[-1] / TARGET_RATE:.1f} s "
+                      f"uncovered", stacklevel=2)
+    return SegmentSet(
+        **{name: sliding_window_view(x, width, axis=-1)[:, : n * hop : hop].swapaxes(0, 1) if n
+           else np.empty((0, len(x), width)) for name, (x, width, hop) in cuts.items()},
+        **{name: np.full(n, getattr(pt, name), dtype=np.int64) for name in TARGETS},
+        trial_ids=np.full(n, pt.trial_id), subjects=np.full(n, pt.subject, dtype=np.int64),
+    )
 
 
 def worker_count(requested: int | None = None) -> int:
@@ -275,7 +270,7 @@ def preprocess_dataset(ds: TrialDataset, cfg: PreprocessConfig | None = None) ->
     dataset may not match); a trial whose value differs starts a new block.
     """
     cfg = cfg or PreprocessConfig()
-    flat = []
+    parts = []
     for pre_trial_ms, run in itertools.groupby(ds.trials, key=lambda t: t.pre_trial_ms):
         run = list(run)
         for start in range(0, len(run), BLOCK_TRIALS):
@@ -284,12 +279,10 @@ def preprocess_dataset(ds: TrialDataset, cfg: PreprocessConfig | None = None) ->
             arrays = _chain(*stacked, pre_trial_ms, cfg)
             for i, t in enumerate(block):
                 pt = PreprocessedTrial(t.trial_id, t.subject, t.arousal, t.valence, *(a[i] for a in arrays))
-                flat += segment_trial(pt, cfg.segment_overlap_seconds)
-    if not flat:
+                parts.append(segment_trial(pt, cfg.segment_overlap_seconds))
+    columns = [[getattr(p, f.name) for p in parts] for f in fields(SegmentSet)]
+    count = sum(map(len, columns[0]))
+    if not count:
         raise ConfigError("no segments produced; are the trials long enough?")
-    return SegmentSet(
-        **{name: np.stack([s[name] for s in flat]) for name in SEGMENT_SHAPES},
-        **{name: np.array([s[name] for s in flat], dtype=np.int64) for name in TARGETS},
-        trial_ids=np.array([s["trial_id"] for s in flat]),
-        subjects=np.array([s["subject"] for s in flat], dtype=np.int64),
-    )
+    # np.concatenate keeps its inputs' memory order, [C, N, W] for window views: ``out`` makes it C order
+    return SegmentSet(*(np.concatenate(c, out=np.empty((count, *c[0].shape[1:]), np.result_type(*c))) for c in columns))

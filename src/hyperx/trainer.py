@@ -28,6 +28,7 @@ from .tensor import clear_tape, no_grad, softmax_cross_entropy, zero_grads
 
 __all__ = [
     "TrainConfig",
+    "EVAL_BATCH_SIZE",
     "one_cycle",
     "adam_step",
     "Adam",
@@ -39,6 +40,8 @@ __all__ = [
     "TrainResult",
     "train",
 ]
+
+EVAL_BATCH_SIZE = 256  # segments per forward pass of predict, evaluate and `hyperx eval`
 
 
 @dataclass
@@ -225,7 +228,7 @@ def compute_metrics(y_true, y_pred, num_classes: int = len(CLASSES)) -> MetricsR
     return MetricsReport(accuracy, float(np.mean(f1s)), per_class, cm.tolist(), n)
 
 
-def predict(model: H2Model, segs: SegmentSet, batch_size: int = 256) -> np.ndarray:
+def predict(model: H2Model, segs: SegmentSet, batch_size: int = EVAL_BATCH_SIZE) -> np.ndarray:
     """Eval-mode class predictions for every segment."""
     preds = []
     with no_grad():
@@ -236,7 +239,7 @@ def predict(model: H2Model, segs: SegmentSet, batch_size: int = 256) -> np.ndarr
     return np.concatenate(preds) if preds else np.empty(0, dtype=np.int64)
 
 
-def evaluate(model: H2Model, segs: SegmentSet, target: str, batch_size: int = 256) -> MetricsReport:
+def evaluate(model: H2Model, segs: SegmentSet, target: str, batch_size: int = EVAL_BATCH_SIZE) -> MetricsReport:
     """Pure eval-mode metrics of ``model`` on ``segs`` for one target."""
     if len(segs) == 0:
         raise ConfigError("evaluate needs a non-empty split")

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from hyperx.cli import main
-from hyperx.dataset import load_dataset
+from hyperx.dataset import load_dataset, split_segments
 from hyperx.dataset import SyntheticSpec
-from hyperx.model import H2Model, save_checkpoint, serialize_model
+from hyperx.model import H2Model, load_checkpoint, save_checkpoint, serialize_model
+from hyperx.sigproc import preprocess_dataset
+from hyperx.tensor import no_grad
 from hyperx.trainer import TrainConfig
 
 from tests.conftest import tiny_model_config
@@ -157,6 +159,16 @@ def test_eval_emits_embeddings_with_label_column(tmp_path, raw_dir, trained_dir)
     eval_metrics = json.loads((out / "metrics.json").read_text())
     assert len(rows) - 1 == eval_metrics["n"]
     assert all(len(r) == width + 1 for r in rows[1:])
+    # every cell reads back as a number, equal to the model's own embedding of the test split
+    values = np.array([[float(v) for v in r] for r in rows[1:]])
+    model, extra = load_checkpoint(trained_dir / "checkpoint.h2ck")
+    cfg = TrainConfig.from_dict(extra["train_config"])
+    segs = preprocess_dataset(load_dataset(raw_dir))
+    _, test = split_segments(segs, cfg.target, cfg.train_frac, cfg.split_seed, cfg.split_unit)
+    with no_grad():
+        emb = model.embed(test.eeg, test.ecg, test.gsr, test.eye).data
+    np.testing.assert_array_equal(values[:, :-1], emb)
+    np.testing.assert_array_equal(values[:, -1], test.labels(cfg.target))
 
 
 def test_eval_embeds_each_test_batch_once(tmp_path, raw_dir, trained_dir, monkeypatch):
@@ -205,6 +217,13 @@ def test_multi_seed_summary(tmp_path, raw_dir, config_file):
     assert summary["rows"][0]["seeds"] == [1, 2]
     assert (out / "variant_phc_seed_1" / "checkpoint.h2ck").exists()
     assert (out / "variant_phc_seed_2" / "checkpoint.h2ck").exists()
+
+
+@pytest.mark.parametrize("seeds", ["1,x", ","])
+def test_malformed_seeds_is_usage_error(tmp_path, raw_dir, capsys, seeds):
+    assert main(["train", "--data", str(raw_dir), "--out", str(tmp_path / "o"), "--seeds", seeds]) == 1
+    assert "--seeds must be comma-separated integers" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_usage_errors_exit_1(capsys):
@@ -413,6 +432,17 @@ def test_wrong_length_tuple_field_is_config_error(tmp_path, raw_dir, capsys, sec
         ({"model": {"fusion_widths": [4096, 1024, 0]}}, "fusion_widths must all be >= 1"),
         ({"model": {"num_classes": 4}}, "num_classes must be 3 (labels [0, 1, 2]), got 4"),
         ({"model": {"num_classes": 2}}, "num_classes must be 3 (labels [0, 1, 2]), got 2"),
+        ({"preprocess": {"filter_order": 0}}, "filter_order must be in (0, inf), got 0"),
+        ({"preprocess": {"eeg_band": [45, 1]}}, "eeg_band must be two increasing corners in (0, 64) Hz"),
+        ({"preprocess": {"ecg_band": [0.5, 64]}}, "ecg_band must be two increasing corners in (0, 64) Hz"),
+        ({"preprocess": {"gsr_lowpass_hz": 128}}, "gsr_lowpass_hz must be in (0, 128), got 128"),
+        ({"preprocess": {"notch_hz": 0}}, "notch_hz must be in (0, 64), got 0"),
+        ({"preprocess": {"notch_q": 0}}, "notch_q must be in (0, inf), got 0"),
+        # an empty baseline window made every GSR segment NaN; 3 ms rounds to 0 samples at 128 Hz
+        ({"preprocess": {"baseline_ms": 0}}, "baseline_ms must be in (3.90625, inf), got 0"),
+        ({"preprocess": {"baseline_ms": 3}}, "baseline_ms must be in (3.90625, inf), got 3"),
+        ({"preprocess": {"segment_overlap_seconds": -2}}, "segment_overlap_seconds must be in [0, 10), got -2"),
+        ({"preprocess": {"segment_overlap_seconds": 10}}, "segment_overlap_seconds must be in [0, 10), got 10"),
     ],
 )
 def test_out_of_range_config_value_is_usage_error(tmp_path, raw_dir, capsys, payload, match):
@@ -421,6 +451,21 @@ def test_out_of_range_config_value_is_usage_error(tmp_path, raw_dir, capsys, pay
     assert main(["train", "--data", str(raw_dir), "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 1
     assert match in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [["preprocess"], ["eval", "--checkpoint", "missing.h2ck"], ["train"]])
+@pytest.mark.parametrize(
+    "payload,match",
+    [({"notch_q": 0}, "notch_q must be in (0, inf), got 0"),
+     ({"segment_overlap_seconds": -2}, "segment_overlap_seconds must be in [0, 10), got -2")],
+)
+def test_out_of_range_preprocess_config_is_usage_error_before_data_loads(tmp_path, capsys, command, payload, match):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preprocess": payload}))
+    # neither --data nor --checkpoint exists: reading either first would exit 2
+    argv = [*command, "--data", str(tmp_path / "missing"), "--out", str(tmp_path / "o"), "--config", str(cfg)]
+    assert main(argv) == 1
+    assert match in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
 import hashlib
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from hyperx.dataset import RawTrial, SyntheticSpec, TrialDataset, generate_synthetic
+from hyperx.dataset import RawTrial, SegmentSet, SyntheticSpec, TrialDataset, generate_synthetic
 from hyperx.errors import ConfigError, TooShortError
 from hyperx.sigproc import (
     IIRFilterSpec,
@@ -138,6 +140,8 @@ def test_filter_corner_beyond_nyquist_rejected():
         apply_filter(np.zeros((1, 1000)), IIRFilterSpec("bandpass", 1.0, 70.0), 128.0)
     with pytest.raises(ConfigError):
         apply_filter(np.zeros((1, 1000)), IIRFilterSpec("lowpass", high=64.0), 128.0)
+    with pytest.raises(ConfigError):  # a zero Q divided by zero inside iirnotch
+        apply_filter(np.zeros((1, 1000)), IIRFilterSpec("notch", high=50.0, notch_q=0.0), 128.0)
 
 
 def test_bandpass_sweep_ripple_and_stopband():
@@ -245,10 +249,10 @@ def _fake_preprocessed(seconds):
 def test_segment_30s_gives_three():
     segs = segment_trial(_fake_preprocessed(30))
     assert len(segs) == 3
-    for s in segs:
-        assert s["eeg"].shape == (10, 1280)
-        assert s["eye"].shape == (4, 600)
-        assert (s["arousal"], s["valence"]) == (1, 2)
+    for k in range(len(segs)):
+        assert segs.eeg[k].shape == (10, 1280)
+        assert segs.eye[k].shape == (4, 600)
+        assert (segs.arousal[k], segs.valence[k]) == (1, 2)
 
 
 def test_segment_10s_gives_one():
@@ -259,18 +263,26 @@ def test_segment_25s_warns_and_floors():
     with pytest.warns(UserWarning):
         segs = segment_trial(_fake_preprocessed(25))
     assert len(segs) == 2
+    # a 2 s overlap gives windows at 0, 8 and 16 s, so the last 4 s of 30 s go uncovered
+    with pytest.warns(UserWarning, match="uncovered"):
+        segs = segment_trial(_fake_preprocessed(30), overlap_seconds=2.0)
+    assert len(segs) == 3
 
 
 def test_segment_boundaries_are_contiguous_blocks():
     pt = _fake_preprocessed(30)
     segs = segment_trial(pt)
-    for k, s in enumerate(segs):
-        np.testing.assert_array_equal(s["eeg"][0], pt.eeg[0, k * 1280 : (k + 1) * 1280])
+    for k in range(len(segs)):
+        np.testing.assert_array_equal(segs.eeg[k, 0], pt.eeg[0, k * 1280 : (k + 1) * 1280])
 
 
 def test_segment_overlap_increases_count():
-    segs = segment_trial(_fake_preprocessed(30), overlap_seconds=5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # 5 s hops cover all 30 s
+        segs = segment_trial(_fake_preprocessed(30), overlap_seconds=5.0)
     assert len(segs) == 5
+    with pytest.raises(ConfigError, match="segment_overlap_seconds"):
+        segment_trial(_fake_preprocessed(30), overlap_seconds=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +313,8 @@ def test_preprocess_keeps_blink_markers(tiny_raw_dataset):
 def test_preprocess_dataset_counts_and_shapes(tiny_segments, tiny_raw_dataset):
     assert len(tiny_segments) == 3 * len(tiny_raw_dataset.trials)
     tiny_segments.validate_shapes()
+    # the encoders read C-contiguous batches; a strided layout is slower, not wrong
+    assert all(getattr(tiny_segments, name).flags.c_contiguous for name in ("eeg", "ecg", "gsr", "eye"))
 
 
 def test_preprocess_is_pure(tiny_raw_dataset):
@@ -343,19 +357,9 @@ def test_preprocess_dataset_bytes_are_golden(eleven_trials):
 
 def _assert_equals_per_trial_oracle(ds):
     got = preprocess_dataset(ds)
-    flat = [seg for t in ds.trials for seg in segment_trial(preprocess_trial(t))]
-    want = dict(
-        eeg=np.stack([s["eeg"] for s in flat]),
-        ecg=np.stack([s["ecg"] for s in flat]),
-        gsr=np.stack([s["gsr"] for s in flat]),
-        eye=np.stack([s["eye"] for s in flat]),
-        arousal=np.array([s["arousal"] for s in flat]),
-        valence=np.array([s["valence"] for s in flat]),
-        trial_ids=np.array([s["trial_id"] for s in flat]),
-        subjects=np.array([s["subject"] for s in flat]),
-    )
-    for name, arr in want.items():
-        assert np.array_equal(getattr(got, name), arr), name
+    per_trial = [segment_trial(preprocess_trial(t)) for t in ds.trials]
+    for name in (f.name for f in fields(SegmentSet)):
+        assert np.array_equal(getattr(got, name), np.concatenate([getattr(s, name) for s in per_trial])), name
 
 
 def test_preprocess_dataset_equals_per_trial_oracle(eleven_trials):
