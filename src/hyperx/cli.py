@@ -79,10 +79,15 @@ def _write_run_json(outdir: Path, command: str, resolved: dict, data_path=None, 
 _SECTIONS = {"model": ModelConfig, "train": TrainConfig, "preprocess": sigproc.PreprocessConfig}
 
 
-def _load_config_file(path) -> dict:
-    """The ``model``, ``train`` and ``preprocess`` configs of the JSON file at
-    ``path``, each section checked by its class; defaults where absent."""
-    config = {}
+def _flags(cls, args: argparse.Namespace) -> dict:
+    """Every given flag whose dest names a field of ``cls``."""
+    return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+
+
+def _load_config_file(args: argparse.Namespace) -> dict:
+    """The ``model``, ``train`` and ``preprocess`` sections of the JSON file at ``args.config``
+    (defaults where absent), each overlaid with the given flags and then built, so checked."""
+    config, path = {}, args.config
     if path is not None:
         try:
             config = json.loads(Path(path).read_bytes())
@@ -95,13 +100,8 @@ def _load_config_file(path) -> dict:
         for name in config:
             if name not in _SECTIONS:
                 raise FormatError(f"config file {path}: unknown section {name!r}; want {sorted(_SECTIONS)}")
-    return {name: cls.from_dict(config.get(name, {}), f"config file section {name!r}")
+    return {name: cls.from_dict(config.get(name, {}), f"config file section {name!r}", **_flags(cls, args))
             for name, cls in _SECTIONS.items()}
-
-
-def _with_flags(cfg, args: argparse.Namespace):
-    """``cfg`` overlaid with every given flag whose dest names one of its fields."""
-    return replace(cfg, **{f.name: getattr(args, f.name) for f in fields(cfg) if hasattr(args, f.name)})
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +117,7 @@ def cmd_synth(args) -> int:
     if out.exists() and any(out.iterdir()) and not args.force:
         print(f"error: output directory {out} is not empty (use --force)", file=sys.stderr)
         return DATA_ERROR
-    spec = _with_flags(ds.SyntheticSpec(), args)
+    spec = ds.SyntheticSpec(**_flags(ds.SyntheticSpec, args))
     data = ds.generate_synthetic(spec)
     ds.save_dataset(data, out)
     n_classes_a = np.bincount([t.arousal for t in data.trials], minlength=len(ds.CLASSES))
@@ -146,8 +146,7 @@ def _load_segments_any(path, preprocess_cfg=None):
 
 
 def cmd_preprocess(args) -> int:
-    cfg = _load_config_file(args.config)["preprocess"]
-    cfg.validate()
+    cfg = _load_config_file(args)["preprocess"]
     raw = ds.load_dataset(args.data)
     segs = sigproc.preprocess_dataset(raw, cfg)
     out = Path(args.out)
@@ -189,15 +188,8 @@ def _train_once(segs, model_cfg: ModelConfig, train_cfg: TrainConfig, outdir: Pa
 
 
 def cmd_train(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    model_cfg = _with_flags(file_cfg["model"], args)
-    train_cfg = _with_flags(file_cfg["train"], args)
-    pre_cfg = file_cfg["preprocess"]
-    # range errors surface before the data loads
-    model_cfg.validate()
-    train_cfg.validate()
-    pre_cfg.validate()
-
+    cfg = _load_config_file(args)
+    model_cfg, train_cfg, pre_cfg = cfg["model"], cfg["train"], cfg["preprocess"]
     try:
         seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [train_cfg.seed]
     except ValueError:
@@ -259,14 +251,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    pre_cfg = _load_config_file(args.config)["preprocess"]
-    pre_cfg.validate()
+    pre_cfg = _load_config_file(args)["preprocess"]
     ckpt_path = Path(args.checkpoint)
     if not ckpt_path.exists():
         print(f"error: checkpoint {ckpt_path} does not exist", file=sys.stderr)
         return DATA_ERROR
     model, extra = load_checkpoint(ckpt_path)
-    train_cfg = _with_flags(TrainConfig.from_dict(extra.get("train_config", {}), "checkpoint train_config"), args)
+    try:
+        train_cfg = TrainConfig.from_dict(extra.get("train_config", {}), "checkpoint train_config",
+                                          **_flags(TrainConfig, args))
+    except ConfigError as e:
+        raise FormatError(f"checkpoint train_config: {e}") from e
     segs, raw_path = _load_segments_any(args.data, pre_cfg)
     _, test_segs = ds.split_segments(
         segs, train_cfg.target, train_cfg.train_frac, train_cfg.split_seed, train_cfg.split_unit
@@ -299,7 +294,7 @@ def cmd_eval(args) -> int:
             for row, lab in zip(np.concatenate(embs), labels):
                 writer.writerow([*row.tolist(), int(lab)])
         print(f"wrote embeddings to {emb_path}")
-    _write_run_json(outdir, "eval", {"train": train_cfg.to_dict()}, data_path=raw_path,
+    _write_run_json(outdir, "eval", {"train": train_cfg.to_dict(), "preprocess": pre_cfg.to_dict()}, data_path=raw_path,
                     results={"macro_f1": report.macro_f1, "accuracy": report.accuracy})
     return 0
 

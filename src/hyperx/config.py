@@ -1,11 +1,11 @@
-"""The JSON form of the config dataclasses.
+"""The config dataclasses' range check and JSON form.
 
 ``ModelConfig``, ``TrainConfig``, ``PreprocessConfig`` and ``SyntheticSpec``
-travel as JSON objects in config files, checkpoints, manifests and
-``run.json``.  Each inherits its one ``to_dict``/``from_dict`` pair from
-``JsonConfig``: tuple fields become JSON lists, and reading back checks
-every key and value against the field's default, so a malformed object is
-a ``FormatError`` that names the key.
+are frozen, and ``JsonConfig.__post_init__`` runs their ``validate``, so every
+instance, ``dataclasses.replace`` included, is in range or a ``ConfigError``
+naming the field.  In JSON (config files, checkpoints, manifests, ``run.json``)
+tuples are lists, and reading back checks every key and value against the
+field's default, so a malformed object is a ``FormatError`` naming the key.
 """
 
 from __future__ import annotations
@@ -30,14 +30,17 @@ def _fits(value, default) -> bool:
 
 
 class JsonConfig:
-    """JSON codec for a dataclass whose fields all have defaults."""
+    """Range check and JSON codec for a dataclass whose fields all have defaults."""
+
+    def __post_init__(self):
+        self.validate()
 
     def to_dict(self) -> dict:
         return {f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v for f in fields(self)}
 
     @classmethod
-    def from_dict(cls, d, where: str | None = None):
-        """The defaults overlaid with ``d``; ``where`` names the source in errors."""
+    def from_dict(cls, d, where: str | None = None, **flags):
+        """The defaults overlaid with ``d``, then ``flags``, checked as one; ``where`` names the source in errors."""
         where = where or cls.__name__
         if not isinstance(d, dict):
             raise FormatError(f"{where} is not a JSON object")
@@ -48,4 +51,4 @@ class JsonConfig:
             if not _fits(value, defaults[key]):
                 want = json.dumps(defaults[key])
                 raise FormatError(f"{where}: key {key!r} must have the JSON type of {want}, got {value!r}")
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
+        return cls(**{**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}, **flags})

@@ -143,7 +143,7 @@ class TrialDataset:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticSpec(JsonConfig):
     """Deterministic class-coupled multimodal signal generator settings.
 
@@ -197,7 +197,6 @@ def _class_signal(t, freq, label, n_channels, phase0, amplitude):
 
 def generate_synthetic(spec: SyntheticSpec) -> TrialDataset:
     """Emit RawTrial-format trials; byte-deterministic for a given seed."""
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     n256 = _samples(256, spec.pre_trial_ms)
     n60 = _samples(60, spec.pre_trial_ms)

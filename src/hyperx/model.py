@@ -57,7 +57,7 @@ _MAGIC = b"H2CK"
 _VERSION = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig(JsonConfig):
     variant: str = "phc"
     n_eeg: int = 10
@@ -198,7 +198,6 @@ class H2Model:
 
     def __init__(self, cfg: ModelConfig | None = None, seed: int = 0):
         self.cfg = cfg or ModelConfig()
-        self.cfg.validate()
         rng = np.random.default_rng(seed)
         self.enc_eeg = _Encoder(self.cfg, "eeg", rng)
         self.enc_ecg = _Encoder(self.cfg, "ecg", rng)
@@ -339,7 +338,12 @@ def deserialize_model(data: bytes) -> tuple[H2Model, dict]:
         raise FormatError(f"checkpoint config block is malformed: {e!r}") from e
     if not isinstance(config, dict) or not isinstance(extra := config.get("extra", {}), dict):
         raise FormatError("checkpoint config block is not a JSON object with an object 'extra'")
-    model_cfg = ModelConfig.from_dict(config.get("model"), "checkpoint config block 'model'")
+    try:
+        model = H2Model(ModelConfig.from_dict(config.get("model"), "checkpoint config block 'model'"), seed=0)
+    except FormatError:  # a key or JSON type from_dict rejects; it names the key
+        raise
+    except (TypeError, ValueError) as e:  # a value out of range, or an encoder width the layers cannot split by n
+        raise FormatError(f"checkpoint config block is malformed: {e!r}") from e
     tensors = {}
     for _ in range(r.u32("tensor count")):
         # a name that is not UTF-8 decodes with U+FFFD and then matches no tensor below
@@ -349,10 +353,6 @@ def deserialize_model(data: bytes) -> tuple[H2Model, dict]:
         data_bytes = r.take(8 * math.prod(dims), f"data of {name}")
         tensors[name] = np.frombuffer(data_bytes, dtype="<f8").reshape(dims)
 
-    try:
-        model = H2Model(model_cfg, seed=0)
-    except (TypeError, ValueError) as e:  # a config field of the wrong type or out of range
-        raise FormatError(f"checkpoint config block is malformed: {e!r}") from e
     for name, arr in _entries(model):
         if name not in tensors:
             raise FormatError(f"checkpoint is missing tensor {name}")

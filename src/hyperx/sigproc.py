@@ -155,7 +155,15 @@ def merge_eyes(eye: np.ndarray) -> np.ndarray:
     return merged
 
 
-@dataclass
+def _check_overlap(overlap_seconds: float):
+    """The overlap rule of ``PreprocessConfig`` and ``segment_trial``: a hop of whole samples at 128 and 60 Hz."""
+    if not 0 <= overlap_seconds < SEGMENT_SECONDS:
+        raise ConfigError(f"segment_overlap_seconds must be in [0, {SEGMENT_SECONDS}), got {overlap_seconds}")
+    if any((SEGMENT_SECONDS - overlap_seconds) * rate % 1 for rate in (TARGET_RATE, EYE_RATE)):
+        raise ConfigError(f"segment_overlap_seconds must be a multiple of 0.25 s, got {overlap_seconds}")
+
+
+@dataclass(frozen=True)
 class PreprocessConfig(JsonConfig):
     eeg_band: tuple = (1.0, 45.0)
     ecg_band: tuple = (0.5, 45.0)
@@ -177,9 +185,7 @@ class PreprocessConfig(JsonConfig):
                                 ("notch_q", 0, np.inf), ("baseline_ms", 500 / TARGET_RATE, np.inf)):
             if not low < getattr(self, name) < high:
                 raise ConfigError(f"{name} must be in ({low:g}, {high:g}), got {getattr(self, name)}")
-        if not 0 <= self.segment_overlap_seconds < SEGMENT_SECONDS:
-            raise ConfigError(f"segment_overlap_seconds must be in [0, {SEGMENT_SECONDS}), "
-                              f"got {self.segment_overlap_seconds}")
+        _check_overlap(self.segment_overlap_seconds)
 
 
 @dataclass
@@ -197,7 +203,6 @@ class PreprocessedTrial:
 def _chain(eeg, ecg, gsr, eye, pre_trial_ms: int, cfg: PreprocessConfig):
     """Steps 1-7 of the module docstring on one trial's [C, L] arrays or a
     block's [N, C, L] arrays; returns (eeg, ecg, gsr, eye) of the trial portion."""
-    cfg.validate()
     pre128 = int(round(TARGET_RATE * pre_trial_ms / 1000.0))
     pre60 = int(round(EYE_RATE * pre_trial_ms / 1000.0))
 
@@ -229,11 +234,10 @@ def segment_trial(pt: PreprocessedTrial, overlap_seconds: float = 0.0) -> Segmen
     """Cut a preprocessed trial into ``SEGMENT_SECONDS`` windows, the model's input:
     consecutive by default (3 per 30 s trial), closer by ``overlap_seconds``.  Windows
     that leave the trial's end uncovered warn.  The signals are read-only views of ``pt``'s arrays."""
-    if not 0 <= overlap_seconds < SEGMENT_SECONDS:
-        raise ConfigError(f"segment_overlap_seconds must be in [0, {SEGMENT_SECONDS}), got {overlap_seconds}")
+    _check_overlap(overlap_seconds)
     hop_s = SEGMENT_SECONDS - overlap_seconds
-    # (signal, window, hop) in samples at each modality's rate; a hop is at least one sample
-    cuts = {name: (getattr(pt, name), width, max(1, round(hop_s * (width // SEGMENT_SECONDS))))
+    # (signal, window, hop) in samples at each modality's rate; whole hops start window k at one time in all
+    cuts = {name: (getattr(pt, name), width, round(hop_s * (width // SEGMENT_SECONDS)))
             for name, (_, width) in SEGMENT_SHAPES.items()}
     n = max(0, min((x.shape[-1] - width) // hop + 1 for x, width, hop in cuts.values()))
     eeg, width, hop = cuts["eeg"]

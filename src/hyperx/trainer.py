@@ -44,7 +44,7 @@ __all__ = [
 EVAL_BATCH_SIZE = 256  # segments per forward pass of predict, evaluate and `hyperx eval`
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig(JsonConfig):
     max_lr: float = 7.96e-6
     pct_start: float = 0.475
@@ -290,7 +290,6 @@ def train(
     ``callback(epoch, record)`` runs after each epoch and may return the
     string "stop" to end training early (used by capability checks).
     """
-    cfg.validate()
     if len(train_segs) == 0 or len(test_segs) == 0:
         raise ConfigError("train needs non-empty train and test splits")
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))

@@ -10,7 +10,7 @@ from hyperx.cli import main
 from hyperx.dataset import load_dataset, split_segments
 from hyperx.dataset import SyntheticSpec
 from hyperx.model import H2Model, load_checkpoint, save_checkpoint, serialize_model
-from hyperx.sigproc import preprocess_dataset
+from hyperx.sigproc import PreprocessConfig, preprocess_dataset
 from hyperx.tensor import no_grad
 from hyperx.trainer import TrainConfig
 
@@ -296,7 +296,7 @@ def test_config_flags_land_under_their_field_names(tmp_path, raw_dir, config_fil
     argv = ["eval", "--checkpoint", str(out / "checkpoint.h2ck"), "--data", str(raw_dir), "--out", str(tmp_path / "e")]
     assert main([*argv, *(a for flag in EVAL_FLAGS for a in flag)]) == 0
     run = json.loads((tmp_path / "e" / "run.json").read_text())["resolved_config"]
-    assert run == _resolved_with({"train": trained}, EVAL_FLAGS)
+    assert run == _resolved_with({"train": trained, "preprocess": PreprocessConfig().to_dict()}, EVAL_FLAGS)
 
     # a flag that is not given leaves the file's value alone, a false boolean included
     cfg = tmp_path / "cfg.json"
@@ -443,6 +443,9 @@ def test_wrong_length_tuple_field_is_config_error(tmp_path, raw_dir, capsys, sec
         ({"preprocess": {"baseline_ms": 3}}, "baseline_ms must be in (3.90625, inf), got 3"),
         ({"preprocess": {"segment_overlap_seconds": -2}}, "segment_overlap_seconds must be in [0, 10), got -2"),
         ({"preprocess": {"segment_overlap_seconds": 10}}, "segment_overlap_seconds must be in [0, 10), got 10"),
+        # hops of 3 samples at 128 Hz and 2 at 60 Hz would drift the eye windows away from the others
+        ({"preprocess": {"segment_overlap_seconds": 9.975}},
+         "segment_overlap_seconds must be a multiple of 0.25 s, got 9.975"),
     ],
 )
 def test_out_of_range_config_value_is_usage_error(tmp_path, raw_dir, capsys, payload, match):
@@ -468,6 +471,26 @@ def test_out_of_range_preprocess_config_is_usage_error_before_data_loads(tmp_pat
     assert match in capsys.readouterr().err
 
 
+def test_flags_overlay_the_file_before_the_config_is_checked(tmp_path, raw_dir, config_file):
+    # the file alone fails "patience 10 exceeds epochs 5"; the merged config is in range
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": json.loads(config_file.read_text())["model"], "train": {"epochs": 5}}))
+    out = tmp_path / "o"
+    argv = ["train", "--data", str(raw_dir), "--out", str(out), "--config", str(cfg), "--variant", "linear"]
+    assert main([*argv, "--patience", "3"]) == 0
+    run = json.loads((out / "run.json").read_text())["resolved_config"]
+    assert (run["train"]["epochs"], run["train"]["patience"]) == (5, 3)
+
+
+def test_preprocess_range_checks_the_files_other_sections(tmp_path, raw_dir, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": {"train_frac": 1.5}}))
+    out = tmp_path / "o" / "s.npz"
+    assert main(["preprocess", "--data", str(raw_dir), "--out", str(out), "--config", str(cfg)]) == 1
+    assert "train_frac must be in (0, 1), got 1.5" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize(
     "train_config,match",
     [({"bogus": 1}, "bogus"), ([1, 2], "train_config is not a JSON object"), ({"train_frac": "x"}, "train_frac")],
@@ -477,6 +500,20 @@ def test_eval_malformed_checkpoint_train_config_is_data_error(tmp_path, raw_dir,
     save_checkpoint(H2Model(tiny_model_config(), seed=0), ckpt, extra={"train_config": train_config})
     assert main(["eval", "--checkpoint", str(ckpt), "--data", str(raw_dir), "--out", str(tmp_path / "o")]) == 2
     assert match in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "train_config,match",
+    [({"train_frac": 1.5}, "train_frac must be in (0, 1), got 1.5"),
+     ({"split_unit": "subject"}, "split_unit must be segment or trial, got 'subject'"),
+     ({"target": "both"}, "target must be arousal or valence, got 'both'")],
+)
+def test_eval_out_of_range_checkpoint_train_config_is_data_error(tmp_path, raw_dir, capsys, train_config, match):
+    ckpt = tmp_path / "bad.h2ck"
+    save_checkpoint(H2Model(tiny_model_config(), seed=0), ckpt, extra={"train_config": train_config})
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(raw_dir), "--out", str(tmp_path / "o")]) == 2
+    assert f"checkpoint train_config: {match}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,11 @@
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperx.dataset import SyntheticSpec
-from hyperx.errors import FormatError
+from hyperx.errors import ConfigError, FormatError
 from hyperx.model import ModelConfig
 from hyperx.sigproc import PreprocessConfig
 from hyperx.trainer import TrainConfig
@@ -73,3 +73,21 @@ def test_unknown_key_is_a_format_error_naming_it(cls, key):
 def test_an_int_stands_for_a_float():
     assert TrainConfig.from_dict({"max_lr": 1}).max_lr == 1
     assert PreprocessConfig.from_dict({"eeg_band": [1, 45]}).eeg_band == (1, 45)
+
+
+@pytest.mark.parametrize(
+    "cls,field,value,match",
+    [
+        (ModelConfig, "fusion_n", 0, "fusion_n must be >= 1"),
+        (TrainConfig, "train_frac", 1.5, "train_frac must be in"),
+        (PreprocessConfig, "notch_q", 0.0, "notch_q must be in"),
+        (SyntheticSpec, "num_subjects", 0, "num_subjects must be >= 1"),
+    ],
+)
+def test_every_config_is_checked_when_built_and_cannot_be_assigned(cls, field, value, match):
+    with pytest.raises(ConfigError, match=match):
+        cls(**{field: value})
+    with pytest.raises(ConfigError, match=match):
+        replace(cls(), **{field: value})
+    with pytest.raises(FrozenInstanceError):
+        setattr(cls(), field, value)

@@ -39,15 +39,13 @@ def test_embedding_widths_divisible_by_n():
 
 
 def test_config_rejects_indivisible_fusion_width():
-    cfg = tiny_model_config(gsr_width=9)  # embeddings sum to 49, not divisible by 4
     with pytest.raises(ConfigError, match="not divisible by n=4"):
-        H2Model(cfg, seed=0)
+        H2Model(tiny_model_config(gsr_width=9), seed=0)  # embeddings sum to 49, not divisible by 4
 
 
 def test_config_rejects_indivisible_fusion_n():
-    cfg = tiny_model_config(fusion_n=3)  # 48 % 3 == 0 but 32 % 3 != 0... widths checked too
     with pytest.raises(ConfigError):
-        H2Model(cfg, seed=0)
+        H2Model(tiny_model_config(fusion_n=3), seed=0)  # 48 % 3 == 0 but 32 % 3 != 0... widths checked too
 
 
 def test_encoder_widths_are_checked_only_where_the_variant_builds_them():

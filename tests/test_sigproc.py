@@ -285,6 +285,24 @@ def test_segment_overlap_increases_count():
         segment_trial(_fake_preprocessed(30), overlap_seconds=-1.0)
 
 
+def test_every_allowed_overlap_starts_each_window_at_one_time_in_all_modalities():
+    # every sample holds its own time in seconds, so a window's first value is its start time
+    t128, t60 = np.arange(30 * 128) / 128, np.arange(30 * 60) / 60
+    pt = PreprocessedTrial("t0", 0, 1, 2, eeg=np.tile(t128, (10, 1)), ecg=np.tile(t128, (3, 1)),
+                           gsr=t128[None], eye=np.tile(t60, (4, 1)))
+    for overlap in np.arange(0, 10, 0.25):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # most hops leave the end of the trial uncovered
+            segs = segment_trial(pt, overlap_seconds=overlap)
+        hop = 10 - overlap
+        starts = np.arange(int(20 // hop) + 1) * hop
+        for name in ("eeg", "ecg", "gsr", "eye"):
+            np.testing.assert_allclose(getattr(segs, name)[:, 0, 0], starts, rtol=0, atol=1e-12, err_msg=name)
+    # 9.975 s hops by 3 samples at 128 Hz and 2 at 60 Hz: window 600 started at 14.1 s and at 20.0 s
+    with pytest.raises(ConfigError, match="segment_overlap_seconds must be a multiple of 0.25 s"):
+        segment_trial(pt, overlap_seconds=9.975)
+
+
 # ---------------------------------------------------------------------------
 # full pipeline
 # ---------------------------------------------------------------------------
