@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: synth, preprocess, train, eval, gradcheck.  Exit codes:
-0 success, 1 usage error, 2 data/format error, 3 check failure.
+0 success, 1 usage error, 2 data/format error or a path the OS rejects,
+3 check failure.
 
 Every run writes a run.json capturing the fully resolved configuration and
 a content hash of the dataset manifest when one is involved.  Config
@@ -91,8 +92,6 @@ def _load_config_file(args: argparse.Namespace) -> dict:
     if path is not None:
         try:
             config = json.loads(Path(path).read_bytes())
-        except FileNotFoundError as e:
-            raise FormatError(f"config file not found: {path}") from e
         except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
             raise FormatError(f"config file {path} is not valid UTF-8 JSON: {e}") from e
         if not isinstance(config, dict):
@@ -252,11 +251,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     pre_cfg = _load_config_file(args)["preprocess"]
-    ckpt_path = Path(args.checkpoint)
-    if not ckpt_path.exists():
-        print(f"error: checkpoint {ckpt_path} does not exist", file=sys.stderr)
-        return DATA_ERROR
-    model, extra = load_checkpoint(ckpt_path)
+    model, extra = load_checkpoint(args.checkpoint)
     try:
         train_cfg = TrainConfig.from_dict(extra.get("train_config", {}), "checkpoint train_config",
                                           **_flags(TrainConfig, args))
@@ -487,7 +482,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, IntegrityError, FileNotFoundError) as e:
+    except (FormatError, IntegrityError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return DATA_ERROR
     except (ConfigError, HyperxError, ValueError) as e:

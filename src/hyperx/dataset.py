@@ -24,6 +24,8 @@ import hashlib
 import json
 import math
 import warnings
+import zipfile
+import zlib
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -524,13 +526,16 @@ def save_segments(segs: SegmentSet, path, meta: dict | None = None):
 def load_segments(path) -> tuple[SegmentSet, dict]:
     """Read a ``save_segments`` archive.  A missing array, arrays of unequal
     length, a label outside ``CLASSES``, a wrong segment shape or a ``meta``
-    that is not JSON is a FormatError; a non-finite signal an IntegrityError."""
-    with np.load(path, allow_pickle=False) as z:
-        try:
+    that is not JSON is a FormatError, and so is a file that is no readable .npz
+    (empty, truncated, corrupt or a bare .npy); a non-finite signal is an IntegrityError."""
+    try:
+        with np.load(path, allow_pickle=False) as z:
             arrays = {f.name: z[f.name] for f in fields(SegmentSet)}
             meta_bytes = bytes(z["meta"])
-        except KeyError as e:
-            raise FormatError(f"segment archive {path} is missing array {e}") from e
+    except KeyError as e:
+        raise FormatError(f"segment archive {path} is missing array {e}") from e
+    except (EOFError, TypeError, ValueError, zipfile.BadZipFile, zlib.error) as e:
+        raise FormatError(f"segment archive {path} is not a readable .npz: {e}") from e
     where = f"segment archive {path}: array"
     try:
         meta = json.loads(meta_bytes.decode() or "{}")

@@ -3,9 +3,11 @@
 Every differentiable operation appends one node to the active tape, so the
 tape's recording order is already a topological order of the graph.
 ``backward`` walks the tape once in reverse, computing vector-Jacobian
-products into per-pass buffers, then adds the result onto each tensor's
-``grad``.  Calling ``backward`` twice without resetting therefore
-accumulates gradients (second call adds the same gradient again); use
+products.  Gradients land on leaves only: a tensor that no node on the tape
+produced gets its gradient added onto ``grad``, while an intermediate gets
+none, and each intermediate's gradient is dropped as soon as its node has
+used it.  Calling ``backward`` twice without resetting therefore
+accumulates leaf gradients (second call adds the same gradient again); use
 ``zero_grads`` or ``clear_tape`` between steps.
 
 The engine is single-threaded per tape and supports exactly the operations
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,34 +183,30 @@ def _make_output(data, vjp_pairs) -> Tensor:
 
 
 def backward(loss: Tensor):
-    """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
+    """Add d(loss)/d(leaf) onto ``grad`` of every leaf reachable from ``loss``.
 
-    ``loss`` must be a single-element tensor recorded on the active tape.
-    Gradients add onto existing ``grad`` buffers.
+    ``loss`` must be a single-element tensor recorded on the active tape.  A
+    leaf is a requires_grad tensor that no node on the tape produced; no other
+    tensor gets a ``grad``.  Each node output's gradient is popped when the
+    reverse walk reaches its node, so none outlives the node that used it.
     """
     if loss.data.size != 1:
         raise RankError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    pass_grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    tensors: dict[int, Tensor] = {id(loss): loss}
+    if not loss.requires_grad:
+        return
+    grads: dict[int, tuple[Tensor, np.ndarray]] = {id(loss): (loss, np.ones_like(loss.data))}
     for node in reversed(active_tape().nodes):
-        g = pass_grads.get(id(node.out))
-        if g is None:
+        entry = grads.pop(id(node.out), None)
+        if entry is None:
             continue
+        g = entry[1]
         for t, vjp in node.vjps:
             contrib = vjp(g)
             key = id(t)
-            if key in pass_grads:
-                pass_grads[key] = pass_grads[key] + contrib
-            else:
-                pass_grads[key] = contrib
-                tensors[key] = t
-    for key, t in tensors.items():
-        if not t.requires_grad:
-            continue
-        if t.grad is None:
-            t.grad = pass_grads[key]
-        else:
-            t.grad = t.grad + pass_grads[key]
+            grads[key] = (t, grads[key][1] + contrib) if key in grads else (t, contrib)
+    # every entry left belongs to a tensor no node produced: a leaf
+    for t, g in grads.values():
+        t.grad = g if t.grad is None else t.grad + g
 
 
 def zero_grads(tensors):
@@ -439,9 +438,10 @@ def batch_norm(
     sums_memo = []
 
     def sums(g):
-        # (sum g, sum g*xhat) per channel, computed once per upstream array
-        if not sums_memo or sums_memo[0] is not g:
-            sums_memo[:] = [g, g.sum(axis=axes), np.einsum(sub, g, xhat)]
+        # (sum g, sum g*xhat) per channel, computed once per upstream array; g is
+        # held weakly so the memo does not keep it alive once backward drops it
+        if not sums_memo or sums_memo[0]() is not g:
+            sums_memo[:] = [weakref.ref(g), g.sum(axis=axes), np.einsum(sub, g, xhat)]
         return sums_memo[1], sums_memo[2]
 
     def vjp_x(g):

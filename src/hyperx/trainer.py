@@ -92,32 +92,19 @@ def one_cycle(step: int, total_steps: int, cfg: TrainConfig) -> tuple[float, flo
     Anchors: step 0 gives max_lr/div_factor and momentum_max; the peak step
     gives max_lr and momentum_min; the last step gives
     max_lr/(div_factor*final_div_factor) and momentum_max.  Both traces are
-    piecewise linear between the anchors.
+    piecewise linear between the anchors, which hold exactly.
     """
     if total_steps < 3:
         raise ConfigError(f"one_cycle needs total_steps >= 3, got {total_steps}")
     if not 0 <= step < total_steps:
         raise ConfigError(f"step {step} outside [0, {total_steps})")
     lr_start = cfg.max_lr / cfg.div_factor
-    lr_final = lr_start / cfg.final_div_factor
     peak = int(round(cfg.pct_start * (total_steps - 1)))
     peak = min(max(peak, 1), total_steps - 2)
-    # anchors are returned directly so they hold exactly in float64
-    if step == 0:
-        return lr_start, cfg.momentum_max
-    if step == peak:
-        return cfg.max_lr, cfg.momentum_min
-    if step == total_steps - 1:
-        return lr_final, cfg.momentum_max
-    if step < peak:
-        t = step / peak
-        lr = lr_start + t * (cfg.max_lr - lr_start)
-        beta1 = cfg.momentum_max + t * (cfg.momentum_min - cfg.momentum_max)
-    else:
-        t = (step - peak) / (total_steps - 1 - peak)
-        lr = cfg.max_lr + t * (lr_final - cfg.max_lr)
-        beta1 = cfg.momentum_min + t * (cfg.momentum_max - cfg.momentum_min)
-    return lr, beta1
+    anchors = (0, peak, total_steps - 1)
+    lr = np.interp(step, anchors, (lr_start, cfg.max_lr, lr_start / cfg.final_div_factor))
+    beta1 = np.interp(step, anchors, (cfg.momentum_max, cfg.momentum_min, cfg.momentum_max))
+    return float(lr), float(beta1)
 
 
 def adam_step(param, grad, state: dict, lr: float, beta1: float, beta2: float = 0.999, eps: float = 1e-8):

@@ -339,6 +339,23 @@ def test_bad_data_path_is_data_error(tmp_path):
     assert main(["train", "--data", str(tmp_path / "missing.npz"), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv,rejected",
+    [
+        (["eval", "--checkpoint", "{bad}", "--data", "{raw}", "--out", "{tmp}/o"], "{tmp}"),
+        (["eval", "--checkpoint", "{bad}", "--data", "{raw}", "--out", "{tmp}/o"], "{tmp}/nope.h2ck"),
+        (["train", "--data", "{raw}", "--out", "{tmp}/o", "--config", "{bad}"], "{tmp}"),
+        (["preprocess", "--data", "{raw}", "--out", "{bad}/x.npz"], "{tmp}/file"),
+    ],
+    ids=["checkpoint_is_a_directory", "checkpoint_is_missing", "config_is_a_directory", "out_under_a_file"],
+)
+def test_path_the_os_rejects_is_data_error(tmp_path, raw_dir, capsys, argv, rejected):
+    (tmp_path / "file").write_text("x")
+    bad = rejected.format(tmp=tmp_path)
+    assert main([a.format(bad=bad, raw=raw_dir, tmp=tmp_path) for a in argv]) == 2
+    assert bad in capsys.readouterr().err
+
+
 def test_eval_corrupt_checkpoint_is_data_error(tmp_path, raw_dir):
     bad = tmp_path / "bad.h2ck"
     bad.write_bytes(b"NOPE" + b"\x00" * 64)

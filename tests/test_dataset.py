@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -384,6 +385,25 @@ def test_malformed_segment_archive_is_rejected_at_load(tmp_path, tiny_segments, 
         load_segments(path)
     assert main(["train", "--data", str(path), "--out", str(tmp_path / "o")]) == 2
     assert match in capsys.readouterr().err
+
+
+def test_unreadable_segment_archive_is_data_error(tmp_path, tiny_segments, capsys):
+    good = tmp_path / "good.npz"
+    save_segments(tiny_segments, good)
+    blob = good.read_bytes()
+    flipped = bytearray(blob)
+    flipped[len(blob) // 2] ^= 0x10
+    npy = io.BytesIO()
+    np.save(npy, tiny_segments.eeg[:2])
+    cases = {f"cut{c}": blob[:c] for c in (1, 100, len(blob) // 2, len(blob) - 1)}
+    cases.update(flip=bytes(flipped), empty=b"", npy=npy.getvalue())
+    for name, payload in cases.items():
+        path = tmp_path / f"{name}.npz"
+        path.write_bytes(payload)
+        with pytest.raises(FormatError, match="is not a readable .npz"):
+            load_segments(path)
+        assert main(["train", "--data", str(path), "--out", str(tmp_path / "o")]) == 2, name
+        assert f"segment archive {path} is not a readable .npz" in capsys.readouterr().err
 
 
 def test_segment_archive_roundtrip(tmp_path, tiny_segments):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +22,7 @@ from hyperx.tensor import (
     no_grad,
     relu,
     reshape,
+    scale,
     softmax_cross_entropy,
     tape_scope,
     tensor_sum,
@@ -375,6 +378,29 @@ def test_batch_norm_second_backward_does_not_reuse_first_upstream(shape):
     assert not np.allclose(first[0], second[0])
 
 
+@pytest.mark.parametrize("shape", BN_SHAPES)
+def test_batch_norm_backward_twice_on_one_tape_adds_the_same_gradient(shape):
+    rng = np.random.default_rng(18)
+    x = Tensor(rng.standard_normal(shape), requires_grad=True)
+    gamma = Tensor(1.0 + rng.random(shape[1]), requires_grad=True)
+    beta = Tensor(rng.standard_normal(shape[1]), requires_grad=True)
+    g = rng.standard_normal(shape)
+    # hand-derived: dx = gamma/sigma * (g - mean(g) - xhat*mean(g*xhat)), dgamma = sum(g*xhat), dbeta = sum(g)
+    axes = (0,) if len(shape) == 2 else (0, 2)
+    mean = lambda a: a.mean(axis=axes, keepdims=True)
+    sigma = np.sqrt(x.data.var(axis=axes, keepdims=True) + 1e-5)
+    xhat = (x.data - mean(x.data)) / sigma
+    gamma_c = gamma.data.reshape((1, -1) if len(shape) == 2 else (1, -1, 1))
+    want = (gamma_c / sigma * (g - mean(g) - xhat * mean(g * xhat)), (g * xhat).sum(axis=axes), g.sum(axis=axes))
+    with tape_scope():
+        y = batch_norm(x, gamma, beta, np.zeros(shape[1]), np.ones(shape[1]), train=True)
+        loss = tensor_sum(mul(y, Tensor(g)))
+        for passes in (1, 2):
+            backward(loss)
+            for got, w in zip((x.grad, gamma.grad, beta.grad), want):
+                np.testing.assert_allclose(got, passes * w, rtol=1e-10, atol=1e-12)
+
+
 def test_batch_norm_degenerate_batch():
     gamma, beta, rm, rv = _bn_parts(3)
     with pytest.raises(DegenerateBatchError):
@@ -456,6 +482,40 @@ def test_diamond_graph_gradient():
         sq = mul(x, x)
         backward(tensor_sum(add(sq, sq)))
     np.testing.assert_allclose(x.grad, [6.0])
+
+
+def test_backward_gives_a_grad_to_leaves_only():
+    rng = np.random.default_rng(16)
+    x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    w = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+    with tape_scope() as tape:
+        h = linear(x, w)
+        backward(tensor_sum(scale(relu(h), 3.0)))
+        intermediates = [node.out for node in tape.nodes]
+    assert len(intermediates) == 4
+    assert all(t.grad is None for t in intermediates)
+    # d/dh of sum(3 relu(h)) is 3 where h > 0; h = x @ w.T
+    dh = 3.0 * (h.data > 0)
+    np.testing.assert_allclose(x.grad, dh @ w.data, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(w.grad, dh.T @ x.data, rtol=1e-12, atol=1e-12)
+
+
+def test_backward_drops_each_gradient_once_its_node_has_used_it():
+    # 40 ops on a 500x500 leaf: keeping every intermediate's gradient until the
+    # pass ends peaks at 41 arrays, dropping each once used at 2
+    x = Tensor(np.random.default_rng(17).standard_normal((500, 500)), requires_grad=True)
+    with tape_scope():
+        y = x
+        for _ in range(20):
+            y = relu(scale(y, 0.9))
+        loss = tensor_sum(y)
+        tracemalloc.start()
+        try:
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 4 * x.data.nbytes, peak / x.data.nbytes
 
 
 # ---------------------------------------------------------------------------
