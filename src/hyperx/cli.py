@@ -377,12 +377,7 @@ def _gradcheck_battery(layer, n, break_backward):
         # relu kink sits inside the probe interval, so the evaluation point
         # must stay fixed regardless of which layer checks ran before
         batch_rng = np.random.default_rng(501)
-        batch = dict(
-            eeg=batch_rng.standard_normal((B, 10, 1280)),
-            ecg=batch_rng.standard_normal((B, 3, 1280)),
-            gsr=batch_rng.standard_normal((B, 1, 1280)),
-            eye=batch_rng.standard_normal((B, 4, 600)),
-        )
+        batch = {name: batch_rng.standard_normal((B, *shape)) for name, shape in ds.SEGMENT_SHAPES.items()}
         labels = batch_rng.integers(0, 3, B)
 
         def f_full(_t):

@@ -44,7 +44,6 @@ __all__ = [
     "SEGMENT_SECONDS",
     "TARGET_RATE",
     "EYE_RATE",
-    "EEG_CHANNEL_NAMES",
     "RawTrial",
     "TrialDataset",
     "SyntheticSpec",
@@ -71,7 +70,6 @@ SPLIT_UNITS = ("segment", "trial")
 # (name, channels, native rate). Raw eye data carries left and right eye
 # blocks of four quantities each: gaze-x, gaze-y, distance, pupil.
 RAW_MODALITIES = (("eeg", 10, 256), ("ecg", 3, 256), ("gsr", 1, 256), ("eye", 8, 60))
-EEG_CHANNEL_NAMES = ("F3", "F4", "F5", "F6", "F7", "F8", "T7", "T8", "P7", "P8")
 
 TRIAL_SECONDS = 30
 SEGMENT_SECONDS = 10
@@ -117,9 +115,6 @@ class RawTrial:
             v = getattr(self, label_name)
             if v not in CLASSES:
                 raise FormatError(f"trial {self.trial_id}: {label_name}={v} not in {set(CLASSES)}")
-
-    def modality(self, name: str) -> np.ndarray:
-        return getattr(self, name)
 
 
 def _samples(rate: int, pre_trial_ms: int) -> int:
@@ -323,12 +318,6 @@ class SegmentSet:
         idx = np.asarray(idx, dtype=np.int64)
         return SegmentSet(*(getattr(self, f.name)[idx] for f in fields(SegmentSet)))
 
-    def validate_shapes(self):
-        for name, shape in SEGMENT_SHAPES.items():
-            arr = getattr(self, name)
-            if arr.shape[1:] != shape:
-                raise FormatError(f"segment array {name} has shape {arr.shape[1:]}, want {shape}")
-
 
 def stratified_split(labels, train_frac: float = 0.8, seed: int = 0):
     """Split indices so per-class train counts are round(train_frac * n_c).
@@ -411,7 +400,7 @@ def save_dataset(ds: TrialDataset, path) -> Path:
     trial_entries = []
     for tr in ds.trials:
         tr.validate()
-        blocks = [np.ascontiguousarray(tr.modality(name), dtype="<f4").tobytes() for name, _, _ in RAW_MODALITIES]
+        blocks = [np.ascontiguousarray(getattr(tr, name), dtype="<f4").tobytes() for name, _, _ in RAW_MODALITIES]
         payload = b"".join(blocks)
         rel = f"trials/{tr.trial_id}.bin"
         (root / rel).write_bytes(payload)
@@ -525,9 +514,10 @@ def save_segments(segs: SegmentSet, path, meta: dict | None = None):
 
 def load_segments(path) -> tuple[SegmentSet, dict]:
     """Read a ``save_segments`` archive.  A missing array, arrays of unequal
-    length, a label outside ``CLASSES``, a wrong segment shape or a ``meta``
-    that is not JSON is a FormatError, and so is a file that is no readable .npz
-    (empty, truncated, corrupt or a bare .npy); a non-finite signal is an IntegrityError."""
+    length, a label outside ``CLASSES``, a signal that is not real numbers or has
+    the wrong segment shape, or a ``meta`` that is not JSON is a FormatError, and so
+    is a file that is no readable .npz (empty, truncated, corrupt or a bare .npy);
+    a non-finite signal is an IntegrityError."""
     try:
         with np.load(path, allow_pickle=False) as z:
             arrays = {f.name: z[f.name] for f in fields(SegmentSet)}
@@ -546,11 +536,13 @@ def load_segments(path) -> tuple[SegmentSet, dict]:
         if arr.shape[:1] != count:
             raise FormatError(f"{where} {name!r} has shape {arr.shape}; its length disagrees with eeg's")
         if name in SEGMENT_SHAPES:
+            if arr.dtype.kind not in "fiu":
+                raise FormatError(f"{where} {name!r} has dtype {arr.dtype}; want real numbers")
+            if arr.shape[1:] != SEGMENT_SHAPES[name]:
+                raise FormatError(f"{where} {name!r} has shape {arr.shape[1:]}, want {SEGMENT_SHAPES[name]}")
             arrays[name] = arr = arr.astype(np.float64)
             if not np.isfinite(arr).all():
                 raise IntegrityError(f"{where} {name!r} holds non-finite values")
         elif name in TARGETS and (arr.dtype.kind not in "iu" or not np.isin(arr, CLASSES).all()):
             raise FormatError(f"{where} {name!r} holds labels outside {set(CLASSES)}")
-    segs = SegmentSet(**arrays)
-    segs.validate_shapes()
-    return segs, meta
+    return SegmentSet(**arrays), meta

@@ -26,7 +26,7 @@ class DegenerateBatchError(HyperxError, ValueError):
 
 
 class InputValidationError(HyperxError, ValueError):
-    """Model input contains non-finite values."""
+    """Model input contains non-finite or non-real values."""
 
 
 class TooShortError(HyperxError, ValueError):

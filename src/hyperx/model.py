@@ -43,6 +43,7 @@ from .tensor import Tensor, concat, global_avg_pool, relu, reshape
 
 __all__ = [
     "VARIANTS",
+    "FUSION_ORDER",
     "ModelConfig",
     "H2Model",
     "serialize_model",
@@ -52,6 +53,9 @@ __all__ = [
 ]
 
 VARIANTS = ("linear", "phm", "conv", "phc")
+# Modalities in the order their encoders are built (and draw from the rng),
+# their embeddings are concatenated and their parameters are stored.
+FUSION_ORDER = ("eeg", "ecg", "eye", "gsr")
 
 _MAGIC = b"H2CK"
 _VERSION = 1
@@ -95,7 +99,7 @@ class ModelConfig(JsonConfig):
         return self.conv_channels(name)[-1]
 
     def fusion_input_width(self) -> int:
-        return sum(self.embedding_width(m) for m in ("eeg", "ecg", "eye", "gsr"))
+        return sum(self.embedding_width(m) for m in FUSION_ORDER)
 
     def validate(self):
         if self.variant not in VARIANTS:
@@ -199,18 +203,21 @@ class H2Model:
     def __init__(self, cfg: ModelConfig | None = None, seed: int = 0):
         self.cfg = cfg or ModelConfig()
         rng = np.random.default_rng(seed)
-        self.enc_eeg = _Encoder(self.cfg, "eeg", rng)
-        self.enc_ecg = _Encoder(self.cfg, "ecg", rng)
-        self.enc_eye = _Encoder(self.cfg, "eye", rng)
-        self.enc_gsr = _Encoder(self.cfg, "gsr", rng)
+        for m in FUSION_ORDER:
+            setattr(self, f"enc_{m}", _Encoder(self.cfg, m, rng))
         self.fusion = _Fusion(self.cfg.fusion_input_width(), self.cfg, rng)
 
     # -- forward ------------------------------------------------------------
 
-    def _validate_inputs(self, eeg, ecg, gsr, eye):
-        arrays = {"eeg": eeg, "ecg": ecg, "gsr": gsr, "eye": eye}
+    def _validate_inputs(self, **arrays) -> dict:
+        """The named batches as float64 arrays, once each is real, finite and
+        shaped [B, *SEGMENT_SHAPES[name]] with one B."""
         batch = None
         for name, arr in arrays.items():
+            arr = np.asarray(arr)
+            if arr.dtype.kind not in "fiu":
+                raise InputValidationError(f"{name} input has dtype {arr.dtype}; want real numbers")
+            arrays[name] = arr = arr.astype(np.float64, copy=False)
             want = SEGMENT_SHAPES[name]
             if arr.ndim != 3 or arr.shape[1:] != want:
                 raise DimensionError(f"{name} batch has shape {arr.shape}, want [B, {want[0]}, {want[1]}]")
@@ -220,18 +227,12 @@ class H2Model:
                 raise DimensionError(f"{name} batch size {arr.shape[0]} != {batch}")
             if not np.isfinite(arr).all():
                 raise InputValidationError(f"{name} input contains non-finite values")
+        return arrays
 
     def embed(self, eeg, ecg, gsr, eye, train: bool = False) -> Tensor:
         """Concatenated encoder embeddings [B, fusion_input_width]."""
-        eeg, ecg, gsr, eye = (np.asarray(a, dtype=np.float64) for a in (eeg, ecg, gsr, eye))
-        self._validate_inputs(eeg, ecg, gsr, eye)
-        parts = [
-            self.enc_eeg.forward(Tensor(eeg), train),
-            self.enc_ecg.forward(Tensor(ecg), train),
-            self.enc_eye.forward(Tensor(eye), train),
-            self.enc_gsr.forward(Tensor(gsr), train),
-        ]
-        return concat(parts, axis=1)
+        arrays = self._validate_inputs(eeg=eeg, ecg=ecg, gsr=gsr, eye=eye)
+        return concat([getattr(self, f"enc_{m}").forward(Tensor(arrays[m]), train) for m in FUSION_ORDER], axis=1)
 
     def forward(self, eeg, ecg, gsr, eye, train: bool = False, rng=None) -> Tensor:
         """Logits [B, num_classes]; deterministic when train=False."""
@@ -246,8 +247,7 @@ class H2Model:
     # -- parameter registry ---------------------------------------------------
 
     def _modules(self):
-        encoders = [(m, getattr(self, f"enc_{m}")) for m in ("eeg", "ecg", "eye", "gsr")]
-        return encoders + [("fusion", self.fusion)]
+        return [(m, getattr(self, f"enc_{m}")) for m in FUSION_ORDER] + [("fusion", self.fusion)]
 
     def _named(self, kind: str):
         """Qualified (name, array) pairs of every submodule's ``params`` or ``buffers``."""

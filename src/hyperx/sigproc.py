@@ -279,7 +279,7 @@ def preprocess_dataset(ds: TrialDataset, cfg: PreprocessConfig | None = None) ->
         run = list(run)
         for start in range(0, len(run), BLOCK_TRIALS):
             block = run[start : start + BLOCK_TRIALS]
-            stacked = (np.stack([t.modality(name) for t in block]) for name in SEGMENT_SHAPES)
+            stacked = (np.stack([getattr(t, name) for t in block]) for name in SEGMENT_SHAPES)
             arrays = _chain(*stacked, pre_trial_ms, cfg)
             for i, t in enumerate(block):
                 pt = PreprocessedTrial(t.trial_id, t.subject, t.arousal, t.valence, *(a[i] for a in arrays))

@@ -12,8 +12,9 @@ accumulates leaf gradients (second call adds the same gradient again); use
 
 The engine is single-threaded per tape and supports exactly the operations
 the model stack needs: linear, 1-D cross-correlation, Kronecker-sum
-weight construction, relu, batch norm, dropout, pooling, concatenation and
-softmax cross-entropy.
+weight construction (one contraction, ``kron_sum``, builds dense and
+per-tap convolution weights alike), relu, batch norm, dropout, pooling,
+concatenation and softmax cross-entropy.
 """
 
 from __future__ import annotations
@@ -342,7 +343,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
             f"conv1d kernel {w.data.shape} larger than padded input {x.data.shape} (padding={padding})"
         )
     Lout = (Lp - K) // stride + 1
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
+    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)))
     # cols[b, c, k, l] = xp[b, c, l*stride + k]: K strided slice copies, no transpose
     span = stride * (Lout - 1) + 1
     cols = np.empty((B, Cin, K, Lout))
@@ -361,7 +362,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
         dxp = np.zeros((B, Cin, Lp))
         for k in range(K):
             dxp[:, :, k : k + span : stride] += dcols[:, :, k, :]
-        return dxp[:, :, padding : padding + L] if padding else dxp
+        return dxp[:, :, padding : padding + L]
 
     vjps = [(x, vjp_x), (w, vjp_w)]
     if b is not None:
@@ -508,40 +509,37 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 
 
 def kron_sum(a: Tensor, f: Tensor) -> Tensor:
-    """sum_i kron(a[i], f[i]) for a: [n,p,q], f: [n,r,s] -> [p*r, q*s].
+    """sum_i kron(a[i], f[i]) for a: [n,p,q], f: [n,r,s,*taps] -> [p*r, q*s, *taps].
 
-    With n = 1 this is the plain Kronecker product of a[0] and f[0].
+    Trailing tap axes of F are folded into the columns of each F_i, so one
+    contraction builds both dense weights (no taps) and convolution filters
+    (the sum applied independently at every tap).  With n = 1 and no taps
+    this is the plain Kronecker product of a[0] and f[0].
     """
-    return _kron_sum(a, f, "kron_sum", "")
+    if a.data.ndim != 3 or f.data.ndim < 3:
+        raise RankError(f"kron_sum needs [n,p,q] and [n,r,s,*taps], got {a.data.shape} and {f.data.shape}")
+    if a.data.shape[0] != f.data.shape[0]:
+        raise DimensionError(f"kron_sum leading dims disagree: {a.data.shape} vs {f.data.shape}")
+    n, p, q = a.data.shape
+    r, s, *taps = f.data.shape[1:]
+    f3 = f.data.reshape(n, r, -1)
+    blocks = (p, r, q, f3.shape[2])
+    data = np.einsum("ipq,irs->prqs", a.data, f3, optimize=True).reshape(p * r, q * s, *taps)
+
+    def vjp_a(g):
+        return np.einsum("prqs,irs->ipq", g.reshape(blocks), f3, optimize=True)
+
+    def vjp_f(g):
+        return np.einsum("prqs,ipq->irs", g.reshape(blocks), a.data, optimize=True).reshape(f.data.shape)
+
+    return _make_output(data, [(a, vjp_a), (f, vjp_f)])
 
 
 def kron_sum_taps(a: Tensor, f: Tensor) -> Tensor:
-    """Per-tap Kronecker sum for convolution filters.
-
-    a: [n,p,q], f: [n,r,s,K] -> [p*r, q*s, K], applying kron_sum
-    independently at every kernel tap.
-    """
-    return _kron_sum(a, f, "kron_sum_taps", "k")
-
-
-def _kron_sum(a: Tensor, f: Tensor, op: str, k: str) -> Tensor:
-    """Forward and VJPs of both Kronecker sums; ``k`` subscripts F's tap axis ("" when F has none)."""
-    if a.data.ndim != 3 or f.data.ndim != 3 + len(k):
-        raise RankError(f"{op} needs [n,p,q] and a rank-{3 + len(k)} f, got {a.data.shape} and {f.data.shape}")
-    if a.data.shape[0] != f.data.shape[0]:
-        raise DimensionError(f"{op} leading dims disagree: {a.data.shape} vs {f.data.shape}")
-    _, p, q = a.data.shape
-    r, s, *taps = f.data.shape[1:]
-    blocks = (p, r, q, s, *taps)
-    data = np.einsum(f"ipq,irs{k}->prqs{k}", a.data, f.data, optimize=True).reshape(p * r, q * s, *taps)
-
-    def vjp_a(g):
-        return np.einsum(f"prqs{k},irs{k}->ipq", g.reshape(blocks), f.data, optimize=True)
-
-    def vjp_f(g):
-        return np.einsum(f"prqs{k},ipq->irs{k}", g.reshape(blocks), a.data, optimize=True)
-
-    return _make_output(data, [(a, vjp_a), (f, vjp_f)])
+    """``kron_sum`` of convolution filters: a: [n,p,q], f: [n,r,s,K] -> [p*r, q*s, K]."""
+    if f.data.ndim != 4:
+        raise RankError(f"kron_sum_taps needs a rank-4 f [n,r,s,K], got {f.data.shape}")
+    return kron_sum(a, f)
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +585,10 @@ def grad_check(
     interval and that coordinate is reported as unverifiable rather than
     compared.  A wrong backward rule still fails: with smooth ``f`` the two
     estimates agree with each other and expose the tape gradient.
+
+    A gradient tiny next to |f| is judged on the scale of the fine estimate's
+    rounding, 4 * eps * max|f| / (h/8): below it neither a kink nor a wrong
+    rule can be told from rounding.
     """
     if not x.requires_grad:
         raise ValueError("grad_check target must have requires_grad=True")
@@ -608,13 +610,17 @@ def grad_check(
         idx = (rng or np.random.default_rng(0)).choice(n, size=max_probes, replace=False)
         idx.sort()
 
+    f_max = 0.0
+
     def central(i, step):
+        nonlocal f_max
         orig = flat[i]
         flat[i] = orig + step
         fp = float(f(x).data)
         flat[i] = orig - step
         fm = float(f(x).data)
         flat[i] = orig
+        f_max = max(f_max, abs(fp), abs(fm))
         return (fp - fm) / (2.0 * step)
 
     fd_coarse = np.empty(idx.size)
@@ -628,7 +634,8 @@ def grad_check(
     nan_found = bool(np.isnan(fd_fine).any() or np.isnan(fd_coarse).any() or np.isnan(an).any())
     if nan_found:
         return GradCheckReport(float("nan"), tol, False, True, int(idx.size))
-    denom = max(np.abs(an).max(initial=0.0), np.abs(fd_fine).max(initial=0.0), 1e-8)
+    resolution = 4.0 * np.finfo(np.float64).eps * f_max / (h / 8.0)
+    denom = max(np.abs(an).max(initial=0.0), np.abs(fd_fine).max(initial=0.0), 1e-8, resolution / tol)
     smooth = np.abs(fd_coarse - fd_fine) <= 0.25 * tol * denom
     n_unverifiable = int((~smooth).sum())
     if not smooth.any():

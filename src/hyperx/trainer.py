@@ -192,14 +192,14 @@ class MetricsReport:
         return {**asdict(self), "accuracy_percent": self.accuracy_percent}
 
 
-def compute_metrics(y_true, y_pred, num_classes: int = len(CLASSES)) -> MetricsReport:
+def compute_metrics(y_true, y_pred) -> MetricsReport:
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
-    cm = np.zeros((num_classes, num_classes), dtype=np.int64)
+    cm = np.zeros((len(CLASSES), len(CLASSES)), dtype=np.int64)
     np.add.at(cm, (y_true, y_pred), 1)
     per_class = []
     f1s = []
-    for c in range(num_classes):
+    for c in range(len(CLASSES)):
         tp = cm[c, c]
         support = int(cm[c].sum())
         pred_c = int(cm[:, c].sum())

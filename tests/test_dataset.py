@@ -360,6 +360,14 @@ def _nan_in_eeg(arrays):
     arrays["eeg"][1, 2, 3] = np.nan
 
 
+def _complex_eeg(arrays):
+    arrays["eeg"] = arrays["eeg"].astype(np.complex64) * 1j
+
+
+def _string_eeg(arrays):
+    arrays["eeg"] = arrays["eeg"].astype("<U8")
+
+
 def _meta_not_json(arrays):
     arrays["meta"] = np.frombuffer(b"{oops", dtype=np.uint8)
 
@@ -371,8 +379,10 @@ def _meta_not_json(arrays):
         (_label_seven, FormatError, "array 'arousal' holds labels outside"),
         (_nan_in_eeg, IntegrityError, "array 'eeg' holds non-finite values"),
         (_meta_not_json, FormatError, "array 'meta' is not UTF-8 JSON"),
+        (_complex_eeg, FormatError, "array 'eeg' has dtype complex64"),
+        (_string_eeg, FormatError, "array 'eeg' has dtype <U8"),
     ],
-    ids=["short_arousal", "label_7", "nan_eeg", "meta_not_json"],
+    ids=["short_arousal", "label_7", "nan_eeg", "meta_not_json", "complex_eeg", "string_eeg"],
 )
 def test_malformed_segment_archive_is_rejected_at_load(tmp_path, tiny_segments, capsys, mutate, error, match):
     path = tmp_path / "segs.npz"

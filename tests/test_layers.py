@@ -148,26 +148,25 @@ def test_kron_sum_taps_matches_per_tap_oracle():
     seed=st.integers(0, 2**16),
 )
 def test_kron_sum_property_forward_and_vjps(n, p, q, r, s, taps, seed):
-    """kron_sum (taps = 0) and kron_sum_taps against the block-loop oracle,
-    with gradient checks of both inputs under a random upstream."""
+    """kron_sum (any taps) and kron_sum_taps (taps > 0) against the block-loop
+    oracle, with gradient checks of both inputs under a random upstream."""
     rng = np.random.default_rng(seed)
     a = Tensor(rng.standard_normal((n, p, q)), requires_grad=True)
     f = Tensor(rng.standard_normal((n, r, s, taps) if taps else (n, r, s)), requires_grad=True)
-    op = kron_sum_taps if taps else kron_sum
-    y = op(a, f).data
     if taps:
         want = np.stack([kron_block_oracle(a.data, f.data[..., t]) for t in range(taps)], axis=-1)
     else:
         want = kron_block_oracle(a.data, f.data)
-    np.testing.assert_allclose(y, want, atol=1e-12)
-    g = Tensor(rng.standard_normal(y.shape))
+    g = Tensor(rng.standard_normal(want.shape))
+    for op in (kron_sum, kron_sum_taps) if taps else (kron_sum,):
+        np.testing.assert_allclose(op(a, f).data, want, atol=1e-12)
 
-    def fn(_t):
-        return tensor_sum(mul(op(a, f), g))
+        def fn(_t):
+            return tensor_sum(mul(op(a, f), g))
 
-    for target in (a, f):
-        report = grad_check(fn, target, tol=1e-6, max_probes=48)
-        assert report.passed, (target.shape, report)
+        for target in (a, f):
+            report = grad_check(fn, target, tol=1e-6, max_probes=48)
+            assert report.passed, (op.__name__, target.shape, report)
 
 
 def test_build_weight_linear_in_a_and_f():

@@ -95,6 +95,15 @@ def test_nan_input_rejected():
         model.forward(**batch)
 
 
+def test_non_real_input_rejected():
+    model = H2Model(tiny_model_config(), seed=0)
+    for name, cast in (("eeg", lambda x: 1j * x), ("ecg", lambda x: x.astype(str))):
+        batch = random_batch(np.random.default_rng(4))
+        batch[name] = cast(batch[name])
+        with pytest.raises(InputValidationError, match=f"{name} input has dtype"):
+            model.forward(**batch)
+
+
 def test_wrong_channel_count_rejected():
     model = H2Model(tiny_model_config(), seed=0)
     batch = random_batch(np.random.default_rng(5))

@@ -92,6 +92,8 @@ def test_linear_backward():
     bias=st.booleans(),
     seed=st.integers(0, 2**16),
 )
+# a bias gradient of -8.2e-5 under f = 4.9, whose two central differences differ by rounding alone
+@example(batch=5, d_in=6, d_out=1, bias=True, seed=574)
 def test_linear_property_forward_and_vjps(batch, d_in, d_out, bias, seed):
     rng = np.random.default_rng(seed)
     x = Tensor(rng.standard_normal((batch, d_in)), requires_grad=True)
