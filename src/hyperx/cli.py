@@ -311,7 +311,7 @@ def _broken_relu(x: Tensor) -> Tensor:
 
 
 def _quaternion_oracle_check(n_pairs: int = 200, tol: float = 1e-12) -> tuple[str, bool, float]:
-    """phm_forward with Hamilton-frozen A against direct quaternion products."""
+    """``PHMLayer.forward`` with Hamilton-frozen A against direct quaternion products."""
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(n_pairs):

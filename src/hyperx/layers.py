@@ -1,11 +1,14 @@
 """Hypercomplex multiplication/convolution layers, real ones at ``n=None``.
 
-A hypercomplex layer of dimension n builds its effective weight as a sum of
-Kronecker products, W = sum_i A_i (x) F_i, where the n algebra matrices A_i
-(each n x n) are learned alongside the filters F_i.  The F block carries
-1/n of the parameters of the equivalent dense or convolutional weight, plus
-the n^3 algebra entries.  For n = 4 with A frozen to the quaternion
-structure constants the layer performs Hamilton-product multiplication.
+A hypercomplex layer of dimension n has the effective weight
+W = sum_i A_i (x) F_i, a sum of Kronecker products, where the n algebra
+matrices A_i (each n x n) are learned alongside the filters F_i.  The F
+block carries 1/n of the parameters of the equivalent dense or
+convolutional weight, plus the n^3 algebra entries.  ``PHMLayer``
+multiplies its input by W without building it (``tensor.phm_linear``);
+``PHCLayer`` builds W per kernel tap and convolves with it.  For n = 4 with
+A frozen to the quaternion structure constants the layer performs
+Hamilton-product multiplication.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .tensor import (
     kron_sum,
     kron_sum_taps,
     linear,
+    phm_linear,
 )
 
 __all__ = [
@@ -134,9 +138,6 @@ class _WeightLayer(_Module):
             self.weight = HypercomplexWeight(a, f)
         self.b = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
 
-    def effective_weight(self) -> Tensor:
-        return self.w if self.weight is None else self.weight.build()
-
     def params(self):
         out = [("W", self.w)] if self.weight is None else [("A", self.weight.a), ("F", self.weight.f)]
         if self.b is not None:
@@ -147,15 +148,19 @@ class _WeightLayer(_Module):
 class PHMLayer(_WeightLayer):
     """Hypercomplex multiplication: y = x @ W.T + b with W = sum_i A_i (x) F_i.
 
-    Holds n^3 + d_out*d_in/n weight scalars, plus d_out bias terms.  With
-    ``n=None`` W is learned directly: a plain fully-connected layer.
+    W is never built: ``phm_linear`` multiplies x by the Kronecker sum block
+    by block.  Holds n^3 + d_out*d_in/n weight scalars, plus d_out bias
+    terms.  With ``n=None`` W is learned directly: a plain fully-connected
+    layer.
     """
 
     def __init__(self, d_in: int, d_out: int, n: int | None, rng, bias: bool = True, algebra=None):
         super().__init__(("d_in", "d_out"), d_in, d_out, (), n, rng, bias, algebra)
 
     def forward(self, x: Tensor) -> Tensor:
-        return linear(x, self.effective_weight(), self.b)
+        if self.weight is None:
+            return linear(x, self.w, self.b)
+        return phm_linear(x, self.weight.a, self.weight.f, self.b)
 
 
 class PHCLayer(_WeightLayer):
@@ -183,7 +188,8 @@ class PHCLayer(_WeightLayer):
         self.padding = padding
 
     def forward(self, x: Tensor) -> Tensor:
-        return conv1d(x, self.effective_weight(), self.b, stride=self.stride, padding=self.padding)
+        w = self.w if self.weight is None else self.weight.build()
+        return conv1d(x, w, self.b, stride=self.stride, padding=self.padding)
 
 
 class BatchNorm1d(_Module):

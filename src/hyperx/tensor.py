@@ -11,10 +11,11 @@ accumulates leaf gradients (second call adds the same gradient again); use
 ``zero_grads`` or ``clear_tape`` between steps.
 
 The engine is single-threaded per tape and supports exactly the operations
-the model stack needs: linear, 1-D cross-correlation, Kronecker-sum
-weight construction (one contraction, ``kron_sum``, builds dense and
-per-tap convolution weights alike), relu, batch norm, dropout, pooling,
-concatenation and softmax cross-entropy.
+the model stack needs: linear, the hypercomplex product ``phm_linear`` (x
+times sum_i A_i (x) F_i, never building that weight), 1-D
+cross-correlation, Kronecker-sum weight construction (one contraction,
+``kron_sum``, builds dense and per-tap convolution weights alike), relu,
+batch norm, dropout, pooling, concatenation and softmax cross-entropy.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ __all__ = [
     "global_avg_pool",
     "conv1d",
     "linear",
+    "phm_linear",
     "batch_norm",
     "dropout",
     "softmax_cross_entropy",
@@ -320,6 +322,61 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         data = data + b.data
         vjps.append((b, lambda g: g.sum(axis=0)))
     return _make_output(data, vjps)
+
+
+def phm_linear(x: Tensor, a: Tensor, f: Tensor, b: Tensor | None = None) -> Tensor:
+    """``linear(x, kron_sum(a, f), b)`` without building the [p*r, q*s] weight.
+
+    x: [B, q*s], a: [n, p, q], f: [n, r, s], b: [p*r] -> [B, p*r].  Each row
+    of x is cut into q blocks of s, one GEMM forms every block product
+    U[b, (q, i), r] = x[b, q, :] . f[i, r, :], and the algebra mixes them:
+    y[b, p, r] = sum_(q,i) M[(q, i), p] U[b, (q, i), r] with M[(q, i), p] =
+    a[i, p, q].  With p = q = n the GEMM FLOPs equal those of the dense layer.
+    """
+    if x.data.ndim != 2 or a.data.ndim != 3 or f.data.ndim != 3:
+        raise RankError(
+            f"phm_linear needs x [B,q*s], a [n,p,q] and f [n,r,s], got {x.data.shape}, {a.data.shape} and {f.data.shape}"
+        )
+    n, p, q = a.data.shape
+    r, s = f.data.shape[1:]
+    if f.data.shape[0] != n:
+        raise DimensionError(f"phm_linear algebra {a.data.shape} and filters {f.data.shape} disagree on n")
+    B = x.data.shape[0]
+    if x.data.shape[1] != q * s:
+        raise DimensionError(
+            f"phm_linear input width {x.data.shape} does not match q*s of algebra {a.data.shape} and filters {f.data.shape}"
+        )
+    xb = x.data.reshape(B * q, s)
+    f2 = f.data.reshape(n * r, s)
+    u = (xb @ f2.T).reshape(B, q * n, r)
+    m = a.data.transpose(2, 0, 1).reshape(q * n, p)
+    y = np.matmul(m.T, u).reshape(B, p * r)
+
+    du_memo = []
+
+    def du(g):
+        # dU = M @ gy, shared by the x and f VJPs; the memo empties once g dies
+        if not du_memo or du_memo[0]() is not g:
+            du_memo[:] = [
+                weakref.ref(g, lambda _: du_memo.clear()),
+                np.matmul(m, g.reshape(B, p, r)).reshape(B * q, n * r),
+            ]
+        return du_memo[1]
+
+    def vjp_a(g):
+        # dM = sum_b U[b] @ gy[b]^T, then dA[i, p, q] = dM[(q, i), p]
+        dm = np.matmul(u, g.reshape(B, p, r).transpose(0, 2, 1)).sum(axis=0)
+        return dm.reshape(q, n, p).transpose(1, 2, 0)
+
+    vjps = [
+        (x, lambda g: (du(g) @ f2).reshape(B, q * s)),
+        (a, vjp_a),
+        (f, lambda g: (du(g).T @ xb).reshape(n, r, s)),
+    ]
+    if b is not None:
+        y += b.data
+        vjps.append((b, lambda g: g.sum(axis=0)))
+    return _make_output(y, vjps)
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:

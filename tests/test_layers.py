@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperx.errors import ConfigError, RankError
+from hyperx.errors import ConfigError, DimensionError, RankError
 from hyperx.layers import (
     BatchNorm1d,
     PHCLayer,
@@ -194,6 +194,12 @@ def test_divisibility_error_names_n_and_dimension():
         PHMLayer(4, 7, 2, np.random.default_rng(0))
     with pytest.raises(ConfigError, match="c_in=5.*n=3"):
         PHCLayer(5, 6, 3, 3, np.random.default_rng(0))
+
+
+def test_phm_layer_rejects_a_batch_of_the_wrong_width():
+    layer = PHMLayer(8, 4, 2, np.random.default_rng(0))
+    with pytest.raises(DimensionError, match=r"\(3, 6\)"):
+        layer(Tensor(np.zeros((3, 6))))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ import struct
 import numpy as np
 import pytest
 
+from hyperx import layers
 from hyperx.errors import ConfigError, DimensionError, FormatError, InputValidationError
+from hyperx.layers import HypercomplexWeight, PHMLayer
 from hyperx.model import (
     H2Model,
     ModelConfig,
@@ -12,7 +14,7 @@ from hyperx.model import (
     deserialize_model,
     serialize_model,
 )
-from hyperx.tensor import backward, clear_tape, no_grad, softmax_cross_entropy, tape_scope
+from hyperx.tensor import backward, clear_tape, linear, no_grad, softmax_cross_entropy, tape_scope
 
 from tests.conftest import random_batch, tiny_model_config
 
@@ -124,6 +126,57 @@ def test_gradients_reach_every_parameter(variant):
         assert p.grad is not None, f"{name} got no gradient"
         assert np.any(p.grad != 0), f"{name} gradient is all zeros"
     clear_tape()
+
+
+def _step(model, batch):
+    """Logits and {name: gradient} of one train-mode forward and backward."""
+    with tape_scope():
+        logits = model.forward(**batch, train=True, rng=np.random.default_rng(8))
+        backward(softmax_cross_entropy(logits, np.arange(len(logits.data)) % 3))
+    return logits.data, {name: p.grad for name, p in model.named_parameters()}
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_phm_model_step_matches_the_built_weight_path(shared, monkeypatch):
+    cfg = ModelConfig(variant="phm", share_encoder_algebra=shared)
+    batch = random_batch(np.random.default_rng(6), batch=4)
+    logits, grads = _step(H2Model(cfg, seed=4), batch)
+
+    def built_weight_forward(self, x):
+        return linear(x, self.w if self.weight is None else self.weight.build(), self.b)
+
+    monkeypatch.setattr(PHMLayer, "forward", built_weight_forward)
+    want_logits, want_grads = _step(H2Model(cfg, seed=4), batch)
+    np.testing.assert_allclose(logits, want_logits, rtol=0, atol=1e-10 * np.abs(want_logits).max())
+    assert grads.keys() == want_grads.keys()
+    # a bias in front of batch norm has a gradient that is zero up to rounding,
+    # so every gradient is judged on the largest one of its layer
+    scale = {}
+    for name, want in want_grads.items():
+        layer = name.rsplit(".", 1)[0]
+        scale[layer] = max(scale.get(layer, 0.0), np.abs(want).max())
+    for name, want in want_grads.items():
+        atol = 1e-10 * scale[name.rsplit(".", 1)[0]]
+        np.testing.assert_allclose(grads[name], want, rtol=0, atol=atol, err_msg=name)
+
+
+def test_hypercomplex_phm_layers_never_build_their_weight(monkeypatch):
+    model = H2Model(ModelConfig(variant="phm"), seed=0)
+    weights = []
+
+    def spy_linear(x, w, b=None):
+        weights.append(w)
+        return linear(x, w, b)
+
+    def refuse(*args):
+        raise AssertionError("a PHM layer with n set built its weight")
+
+    monkeypatch.setattr(layers, "linear", spy_linear)
+    monkeypatch.setattr(layers, "kron_sum", refuse)
+    monkeypatch.setattr(HypercomplexWeight, "build", refuse)
+    _step(model, random_batch(np.random.default_rng(0), batch=2))
+    # the dense head (n=None) is the one layer of the phm variant that calls linear
+    assert weights == [model.fusion.head.w]
 
 
 # ---------------------------------------------------------------------------

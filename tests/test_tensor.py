@@ -17,9 +17,11 @@ from hyperx.tensor import (
     dropout,
     global_avg_pool,
     grad_check,
+    kron_sum,
     linear,
     mul,
     no_grad,
+    phm_linear,
     relu,
     reshape,
     scale,
@@ -110,6 +112,88 @@ def test_linear_property_forward_and_vjps(batch, d_in, d_out, bias, seed):
     for target in (x, w) if b is None else (x, w, b):
         report = grad_check(f, target, tol=1e-6, max_probes=48)
         assert report.passed, (target.shape, report)
+
+
+# ---------------------------------------------------------------------------
+# phm_linear
+# ---------------------------------------------------------------------------
+
+
+def _output_and_grads(op, x, a, f, b, g):
+    """op(x, a, f, b) and the gradients of sum(op * g) at every input."""
+    inputs = [t for t in (x, a, f, b) if t is not None]
+    zero_grads(inputs)
+    with tape_scope():
+        y = op(x, a, f, b)
+        backward(tensor_sum(mul(y, g)))
+    return [y.data] + [t.grad for t in inputs]
+
+
+def _built_weight_linear(x, a, f, b):
+    return linear(x, kron_sum(a, f), b)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    p=st.integers(1, 5),
+    q=st.integers(1, 5),
+    r=st.integers(1, 4),
+    s=st.integers(1, 4),
+    batch=st.integers(1, 5),
+    bias=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_phm_linear_matches_linear_over_the_built_weight(n, p, q, r, s, batch, bias, seed):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal((batch, q * s)), requires_grad=True)
+    a = Tensor(rng.standard_normal((n, p, q)), requires_grad=True)
+    f = Tensor(rng.standard_normal((n, r, s)), requires_grad=True)
+    b = Tensor(rng.standard_normal(p * r), requires_grad=True) if bias else None
+    g = Tensor(rng.standard_normal((batch, p * r)))
+    got = _output_and_grads(phm_linear, x, a, f, b, g)
+    want = _output_and_grads(_built_weight_linear, x, a, f, b, g)
+    for name, u, v in zip(("y", "dx", "da", "df", "db"), got, want):
+        assert u.shape == v.shape, name
+        np.testing.assert_allclose(u, v, rtol=0, atol=1e-12 * np.abs(v).max(), err_msg=name)
+
+
+def test_phm_linear_second_backward_does_not_reuse_first_upstream():
+    rng = np.random.default_rng(16)
+    x = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
+    a = Tensor(rng.standard_normal((2, 2, 2)), requires_grad=True)
+    f = Tensor(rng.standard_normal((2, 3, 3)), requires_grad=True)
+    g1, g2 = (Tensor(rng.standard_normal((3, 6))) for _ in range(2))
+    want = _output_and_grads(_built_weight_linear, x, a, f, None, g2)[1:]
+    with tape_scope():
+        y = phm_linear(x, a, f)
+        for g in (g1, g2):
+            zero_grads([x, a, f])
+            backward(tensor_sum(mul(y, g)))
+    for got, w in zip((x.grad, a.grad, f.grad), want):
+        np.testing.assert_allclose(got, w, rtol=0, atol=1e-12 * np.abs(w).max())
+
+
+@pytest.mark.parametrize(
+    "x_shape,a_shape,f_shape",
+    [
+        ((2, 3, 4), (2, 2, 2), (2, 3, 2)),
+        ((4,), (2, 2, 2), (2, 3, 2)),
+        ((2, 4), (2, 2), (2, 3, 2)),
+        ((2, 4), (2, 2, 2), (2, 3, 2, 1)),
+    ],
+)
+def test_phm_linear_rejects_wrong_ranks(x_shape, a_shape, f_shape):
+    with pytest.raises(RankError, match="phm_linear"):
+        phm_linear(Tensor(np.zeros(x_shape)), Tensor(np.zeros(a_shape)), Tensor(np.zeros(f_shape)))
+
+
+def test_phm_linear_shape_errors_name_both_shapes():
+    a, f = Tensor(np.zeros((2, 2, 2))), Tensor(np.zeros((2, 3, 2)))
+    with pytest.raises(DimensionError, match=r"\(3, 6\).*\(2, 2, 2\).*\(2, 3, 2\)"):
+        phm_linear(Tensor(np.zeros((3, 6))), a, f)
+    with pytest.raises(DimensionError, match=r"\(2, 2, 2\).*\(3, 3, 2\)"):
+        phm_linear(Tensor(np.zeros((3, 4))), a, Tensor(np.zeros((3, 3, 2))))
 
 
 # ---------------------------------------------------------------------------
