@@ -19,14 +19,18 @@ import numpy as np
 
 from .errors import ConfigError
 from .tensor import (
+    BN_EPS,
     Tensor,
+    add,
     batch_norm,
     conv1d,
     dropout,
     kron_sum,
     kron_sum_taps,
     linear,
+    mul,
     phm_linear,
+    reshape,
 )
 
 __all__ = [
@@ -187,9 +191,13 @@ class PHCLayer(_WeightLayer):
         self.stride = stride
         self.padding = padding
 
-    def forward(self, x: Tensor) -> Tensor:
-        w = self.w if self.weight is None else self.weight.build()
-        return conv1d(x, w, self.b, stride=self.stride, padding=self.padding)
+    def forward(self, x: Tensor, bn: BatchNorm1d | None = None) -> Tensor:
+        """conv1d(x, W, b); given ``bn``, that output through eval-mode ``bn``,
+        with ``bn`` folded into W and b so that it is still one conv1d."""
+        w, b = self.w if self.weight is None else self.weight.build(), self.b
+        if bn is not None:
+            w, b = bn.fold(w, b)
+        return conv1d(x, w, b, stride=self.stride, padding=self.padding)
 
 
 class BatchNorm1d(_Module):
@@ -204,6 +212,21 @@ class BatchNorm1d(_Module):
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
         return batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var, train)
+
+    def fold(self, w: Tensor, b: Tensor | None) -> tuple[Tensor, Tensor]:
+        """Weight and bias of a layer (w [C, ...], b [C]) followed by this BN in eval mode.
+
+        Eval BN is the per-channel affine map s*(y - running_mean) + beta with
+        s = gamma/sqrt(running_var + eps), so w' = w*s per output channel and
+        b' = beta + (b - running_mean)*s (Jacob et al., CVPR 2018).  Built
+        from tape ops: w, b, gamma and beta keep their eval-mode gradients.
+        """
+        s = mul(self.gamma, Tensor(1.0 / np.sqrt(self.running_var + BN_EPS)))
+        w = mul(w, reshape(s, (self.channels,) + (1,) * (w.ndim - 1)))
+        shift = Tensor(-self.running_mean)
+        if b is not None:
+            shift = add(b, shift)
+        return w, add(self.beta, mul(shift, s))
 
     def params(self):
         return [("gamma", self.gamma), ("beta", self.beta)]

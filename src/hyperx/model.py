@@ -20,6 +20,11 @@ its encoder is the one stage ``fc``/``bn``: PHMLayer with n = 1 (i.e. dense)
 for phc/phm, n=None otherwise.  With ``share_encoder_algebra`` the second
 hypercomplex layer of an encoder uses the first one's A tensor.
 
+In eval mode BN is a fixed per-channel affine map, so a conv stage folds it
+into the convolution's weight and bias (``BatchNorm1d.fold``) and runs as one
+conv1d then ReLU, with no batch-norm pass.  Flat stages keep eval-mode
+``batch_norm``, which is already one scale and shift.
+
 Checkpoint container: magic ``H2CK``, u32 version, u32 length + canonical
 JSON config block, u32 tensor count, then per tensor: u32 name length,
 name bytes, u32 rank, u32 dims, float64 little-endian data.
@@ -128,7 +133,10 @@ class ModelConfig(JsonConfig):
 
 
 class _Encoder:
-    """One modality's [layer -> BN -> ReLU] stages; see the module docstring."""
+    """One modality's [layer -> BN -> ReLU] stages; see the module docstring.
+
+    In eval mode each conv stage is [conv with BN folded in -> ReLU].
+    """
 
     def __init__(self, cfg: ModelConfig, modality: str, rng):
         c_in, length = SEGMENT_SHAPES[modality]
@@ -166,8 +174,9 @@ class _Encoder:
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
         h = x if self.conv else reshape(x, (x.shape[0], self.d_flat))
+        fold = self.conv and not train
         for layer, bn in self.stages:
-            h = relu(bn(layer(h), train))
+            h = relu(layer(h, bn) if fold else bn(layer(h), train))
         return global_avg_pool(h) if self.conv else h
 
     def submodules(self):

@@ -55,6 +55,7 @@ __all__ = [
     "linear",
     "phm_linear",
     "batch_norm",
+    "BN_EPS",
     "dropout",
     "softmax_cross_entropy",
     "kron_sum",
@@ -279,8 +280,9 @@ def concat(tensors, axis: int = 1) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    return _make_output(x.data * mask, [(x, lambda g: g * mask)])
+    # the VJP rebuilds the x > 0 mask from the output: y > 0 exactly where x > 0
+    y = np.maximum(x.data, 0.0)
+    return _make_output(y, [(x, lambda g: g * (y > 0))])
 
 
 def tensor_sum(x: Tensor) -> Tensor:
@@ -432,6 +434,8 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
 # Normalization / regularization / loss
 # ---------------------------------------------------------------------------
 
+BN_EPS = 1e-5  # batch norm's variance floor, also used where eval BN is folded into a conv
+
 
 def batch_norm(
     x: Tensor,
@@ -441,7 +445,7 @@ def batch_norm(
     running_var: np.ndarray,
     train: bool,
     momentum: float = 0.1,
-    eps: float = 1e-5,
+    eps: float = BN_EPS,
 ) -> Tensor:
     """Batch normalization over the channel axis of [B, C] or [B, C, L].
 

@@ -121,11 +121,23 @@ def adam_step(param, grad, state: dict, lr: float, beta1: float, beta2: float = 
         state["t"] = 0
     state["t"] += 1
     t = state["t"]
-    state["m"] = beta1 * state["m"] + (1.0 - beta1) * grad
-    state["v"] = beta2 * state["v"] + (1.0 - beta2) * grad * grad
-    m_hat = state["m"] / (1.0 - beta1**t)
-    v_hat = state["v"] / (1.0 - beta2**t)
-    param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    # m = beta1*m + (1-beta1)*g, v = beta2*v + (1-beta2)*g*g and
+    # param -= lr*m_hat / (sqrt(v_hat) + eps), each product and sum in that
+    # order, written in place through two scratch arrays
+    m, v = state["m"], state["v"]
+    upd, denom = np.empty_like(param), np.empty_like(param)
+    m *= beta1
+    m += np.multiply(1.0 - beta1, grad, out=upd)
+    v *= beta2
+    np.multiply(1.0 - beta2, grad, out=upd)
+    v += np.multiply(upd, grad, out=upd)
+    np.divide(v, 1.0 - beta2**t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    np.divide(m, 1.0 - beta1**t, out=upd)
+    upd *= lr
+    upd /= denom
+    param -= upd
     return state
 
 

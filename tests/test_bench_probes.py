@@ -1,12 +1,15 @@
 """The traced benchmark patches hyperx names in place (``perfbench/probes.py``);
 every one of them must still exist, so a refactor that drops one fails here."""
 
+import numpy as np
+
 from hyperx import tensor
-from hyperx.model import H2Model
+from hyperx.model import FUSION_ORDER, H2Model
+from hyperx.tensor import no_grad
 from perfbench.probes import Probes
 from perfbench.spans import Tracer
 
-from tests.conftest import tiny_model_config
+from tests.conftest import random_batch, tiny_model_config
 
 
 def test_benchmark_probes_install_and_restore():
@@ -22,3 +25,29 @@ def test_benchmark_probes_install_and_restore():
         probes.patches.restore()
     assert tensor.backward is backward
     assert model.forward_segments == forward_segments
+
+
+def test_probes_see_every_conv_stage_of_an_eval_forward():
+    """An eval forward of a phc model: one probed conv1d and one weight build
+    per conv stage, and no batch norm inside an encoder with conv stages."""
+    model = H2Model(tiny_model_config(variant="phc"), seed=0)
+    batch = random_batch(np.random.default_rng(0), batch=2)
+    tracer = Tracer()
+    probes = Probes(tracer)
+    try:
+        probes.install()
+        probes.instrument_model(model)
+        with no_grad():
+            model.forward(**batch)
+    finally:
+        probes.patches.restore()
+    encoders = {f"model.enc_{m}.forward": getattr(model, f"enc_{m}") for m in FUSION_ORDER}
+    conv_stages = sum(len(enc.stages) for enc in encoders.values() if enc.conv)
+    assert conv_stages == 6
+    calls = tracer.summary()
+    assert calls["tensor.conv1d"]["calls"] == conv_stages
+    assert calls["layers.weight_build"]["calls"] == conv_stages
+    names = {span[0]: span[1] for span in tracer.spans}
+    bn_encoders = [names[span[4]] for span in tracer.spans if span[1] == "tensor.batch_norm"]
+    assert bn_encoders == ["model.enc_gsr.forward"]
+    assert not encoders["model.enc_gsr.forward"].conv

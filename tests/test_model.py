@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperx import layers
 from hyperx.errors import ConfigError, DimensionError, FormatError, InputValidationError
@@ -11,10 +13,23 @@ from hyperx.model import (
     H2Model,
     ModelConfig,
     VARIANTS,
+    _Encoder,
     deserialize_model,
     serialize_model,
 )
-from hyperx.tensor import backward, clear_tape, linear, no_grad, softmax_cross_entropy, tape_scope
+from hyperx.tensor import (
+    backward,
+    batch_norm,
+    clear_tape,
+    global_avg_pool,
+    linear,
+    no_grad,
+    relu,
+    reshape,
+    softmax_cross_entropy,
+    tape_scope,
+    zero_grads,
+)
 
 from tests.conftest import random_batch, tiny_model_config
 
@@ -177,6 +192,72 @@ def test_hypercomplex_phm_layers_never_build_their_weight(monkeypatch):
     _step(model, random_batch(np.random.default_rng(0), batch=2))
     # the dense head (n=None) is the one layer of the phm variant that calls linear
     assert weights == [model.fusion.head.w]
+
+
+# ---------------------------------------------------------------------------
+# eval mode: batch norm folded into each conv stage
+# ---------------------------------------------------------------------------
+
+
+def _unfolded_encoder_forward(self, x, train):
+    """Oracle: every stage is layer -> batch_norm(train=False) -> relu."""
+    h = x if self.conv else reshape(x, (x.shape[0], self.d_flat))
+    for layer, bn in self.stages:
+        h = relu(batch_norm(layer(h), bn.gamma, bn.beta, bn.running_mean, bn.running_var, train=False))
+    return global_avg_pool(h) if self.conv else h
+
+
+def _randomized_model(variant, seed):
+    """A tiny model with random biases, BN affine parameters and running statistics."""
+    model = H2Model(tiny_model_config(variant=variant), seed=seed)
+    rng = np.random.default_rng(seed)
+    for name, p in model.named_parameters():
+        if name.endswith(".gamma"):
+            p.data[...] = rng.uniform(0.3, 3.0, p.shape) * rng.choice([-1.0, 1.0], p.shape)
+        elif name.endswith((".beta", ".b")):
+            p.data[...] = rng.standard_normal(p.shape)
+    for name, buf in model.named_buffers():
+        buf[...] = rng.normal(0.0, 2.0, buf.shape) if name.endswith("mean") else rng.uniform(0.01, 5.0, buf.shape)
+    return model
+
+
+def _eval_logits_and_grads(model, batch):
+    """Eval-mode logits and {name: gradient} of their cross-entropy, under a tape."""
+    zero_grads(p for _, p in model.named_parameters())
+    with tape_scope():
+        logits = model.forward(**batch, train=False)
+        backward(softmax_cross_entropy(logits, np.arange(len(logits.data)) % 3))
+    return logits.data, {name: p.grad for name, p in model.named_parameters()}
+
+
+@settings(max_examples=6, deadline=None)
+@given(variant=st.sampled_from(["phc", "conv"]), seed=st.integers(0, 2**16), batch=st.integers(1, 3))
+def test_folded_eval_logits_match_the_unfolded_oracle(variant, seed, batch):
+    model = _randomized_model(variant, seed)
+    inputs = random_batch(np.random.default_rng(seed + 1), batch=batch)
+    with tape_scope() as tape, no_grad():
+        got = model.forward(**inputs).data
+    assert len(tape) == 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Encoder, "forward", _unfolded_encoder_forward)
+        with no_grad():
+            want = model.forward(**inputs).data
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    np.testing.assert_array_equal(got.argmax(axis=1), want.argmax(axis=1))
+
+
+@pytest.mark.parametrize("variant", ["phc", "conv"])
+def test_folded_eval_gradients_match_the_unfolded_oracle(variant, monkeypatch):
+    model = _randomized_model(variant, seed=11)
+    batch = random_batch(np.random.default_rng(12), batch=3)
+    logits, grads = _eval_logits_and_grads(model, batch)
+    monkeypatch.setattr(_Encoder, "forward", _unfolded_encoder_forward)
+    want_logits, want_grads = _eval_logits_and_grads(model, batch)
+    np.testing.assert_allclose(logits, want_logits, rtol=0, atol=1e-12 * np.abs(want_logits).max())
+    assert grads.keys() == want_grads.keys()
+    for name, want in want_grads.items():
+        assert grads[name] is not None and want is not None, f"{name} got no gradient"
+        np.testing.assert_allclose(grads[name], want, rtol=0, atol=1e-10 * np.abs(want).max(), err_msg=name)
 
 
 # ---------------------------------------------------------------------------

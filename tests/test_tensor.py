@@ -300,6 +300,24 @@ def test_relu():
     np.testing.assert_array_equal(relu(Tensor([-1.0, 0.0, 2.0])).data, [0, 0, 2])
 
 
+def test_relu_vjp_is_the_x_gt_0_mask_at_signed_zeros():
+    # the gradient is 0 at 0.0 and -0.0, as with the mask x > 0
+    data = np.array([-2.0, -0.0, 0.0, 1e-300, -1e-300, 3.0])
+    x = Tensor(data, requires_grad=True)
+    g = np.arange(1.0, 7.0)
+    with tape_scope():
+        backward(tensor_sum(mul(relu(x), Tensor(g))))
+    np.testing.assert_array_equal(x.grad, g * (data > 0))
+    assert (relu(Tensor(data)).data >= 0).all()
+
+
+def test_relu_records_no_node_under_no_grad():
+    x = Tensor([-1.0, 0.0, 2.0], requires_grad=True)
+    with tape_scope() as tape, no_grad():
+        y = relu(x)
+    assert len(tape) == 0 and not y.requires_grad
+
+
 def test_global_avg_pool_means():
     x = Tensor([[[1.0, 1.0, 1.0, 1.0], [2.0, 4.0, 6.0, 8.0]]])
     np.testing.assert_array_equal(global_avg_pool(x).data, [[1.0, 5.0]])

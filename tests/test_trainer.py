@@ -117,6 +117,30 @@ def test_adam_quadratic_bowl_converges_monotonically():
     assert abs(p[0]) < abs(history[0]) / 2
 
 
+def test_adam_in_place_update_is_bitwise_the_textbook_expression():
+    # the allocating form adam_step replaced, kept here as the oracle
+    def oracle(param, grad, state, lr, beta1, beta2=0.999, eps=1e-8):
+        state["t"] = t = state.get("t", 0) + 1
+        state["m"] = beta1 * state.get("m", 0.0) + (1.0 - beta1) * grad
+        state["v"] = beta2 * state.get("v", 0.0) + (1.0 - beta2) * grad * grad
+        m_hat = state["m"] / (1.0 - beta1**t)
+        v_hat = state["v"] / (1.0 - beta2**t)
+        param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+    rng = np.random.default_rng(5)
+    p = rng.standard_normal((7, 5))
+    q = p.copy()
+    state, want = {}, {}
+    for step in range(6):
+        grad = rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3)
+        lr, beta1 = 1e-3 * (step + 1), 0.9 - 0.02 * step
+        adam_step(p, grad, state, lr, beta1)
+        oracle(q, grad, want, lr, beta1)
+        np.testing.assert_array_equal(p, q)
+        np.testing.assert_array_equal(state["m"], want["m"])
+        np.testing.assert_array_equal(state["v"], want["v"])
+
+
 def test_adam_nan_gradient_aborts():
     with pytest.raises(GradientError):
         adam_step(np.ones(2), np.array([1.0, np.nan]), {}, lr=0.1, beta1=0.9)
