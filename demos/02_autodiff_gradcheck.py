@@ -31,7 +31,7 @@ print("dloss/dw  :\n", w.grad)
 
 print("\n== gradient check of a hypercomplex convolution ==")
 layer = PHCLayer(4, 8, 4, kernel_size=3, rng=rng, stride=2, padding=1)
-inp = Tensor(rng.standard_normal((3, 4, 20)), requires_grad=True)
+inp = Tensor(rng.standard_normal((4, 3, 20)), requires_grad=True)  # channel-major [C, B, L]
 
 
 def f(_):

@@ -352,17 +352,17 @@ def _gradcheck_battery(layer, n, break_backward):
     if layer in (None, "dense"):
         module_check("dense", PHMLayer(9, 7, None, rng), (4, 9))
     if layer in (None, "conv"):
-        module_check("conv", PHCLayer(3, 5, None, 3, rng, stride=2, padding=1), (2, 3, 12))
+        module_check("conv", PHCLayer(3, 5, None, 3, rng, stride=2, padding=1), (3, 2, 12))
     if layer in (None, "phm"):
         for k in [n] if n else [2, 3, 4, 10]:
             module_check(f"phm n={k}", PHMLayer(4 * k, 2 * k, k, rng), (3, 4 * k))
     if layer in (None, "phc"):
         for k in [n] if n else [2, 4]:
-            module_check(f"phc n={k}", PHCLayer(k, 2 * k, k, 3, rng, stride=1, padding=1), (2, k, 10))
+            module_check(f"phc n={k}", PHCLayer(k, 2 * k, k, 3, rng, stride=1, padding=1), (k, 2, 10))
             # the encoders' own geometry
-            module_check(f"phc n={k} k=7 stride=2 padding=3", PHCLayer(k, 2 * k, k, 7, rng, stride=2, padding=3), (2, k, 20))
+            module_check(f"phc n={k} k=7 stride=2 padding=3", PHCLayer(k, 2 * k, k, 7, rng, stride=2, padding=3), (k, 2, 20))
     if layer in (None, "bn"):
-        module_check("bn3d", BatchNorm1d(5), (4, 5, 6), True)
+        module_check("bn3d", BatchNorm1d(5), (5, 4, 6), True)
     if layer in (None, "dropout"):
         xd = Tensor(rng.standard_normal((6, 8)), requires_grad=True)
         run(lambda t: tensor_sum(dropout(t, 0.5, True, np.random.default_rng(123))), [("dropout", xd)])

@@ -170,6 +170,7 @@ class PHMLayer(_WeightLayer):
 class PHCLayer(_WeightLayer):
     """Hypercomplex 1-D convolution; the Kronecker sum is built per kernel tap.
 
+    Maps channel-major [c_in, B, L] to [c_out, B, Lout], as ``conv1d`` does.
     Holds n^3 + c_out*c_in*K/n weight scalars, plus c_out bias terms.  With
     ``n=None`` the [c_out, c_in, K] W is learned directly: a plain convolution.
     """

@@ -18,7 +18,9 @@ kind follows the variant (same widths everywhere, for ablation comparisons):
 Stage i normalizes with ``bn{i}``.  GSR is single-channel, so in every variant
 its encoder is the one stage ``fc``/``bn``: PHMLayer with n = 1 (i.e. dense)
 for phc/phm, n=None otherwise.  With ``share_encoder_algebra`` the second
-hypercomplex layer of an encoder uses the first one's A tensor.
+hypercomplex layer of an encoder uses the first one's A tensor.  Conv stages
+run channel-major, [C, B, L], so each conv op is one GEMM over the batch: the
+encoder transposes its [B, C, L] input once and pooling returns [B, C].
 
 In eval mode BN is a fixed per-channel affine map, so a conv stage folds it
 into the convolution's weight and bias (``BatchNorm1d.fold``) and runs as one
@@ -173,7 +175,8 @@ class _Encoder:
         return PHMLayer(d_in, d_out, n, rng, algebra=algebra)
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
-        h = x if self.conv else reshape(x, (x.shape[0], self.d_flat))
+        # conv stages run channel-major; x is model input, so it needs no gradient
+        h = Tensor(x.data.transpose(1, 0, 2)) if self.conv else reshape(x, (x.shape[0], self.d_flat))
         fold = self.conv and not train
         for layer, bn in self.stages:
             h = relu(layer(h, bn) if fold else bn(layer(h), train))

@@ -16,6 +16,8 @@ times sum_i A_i (x) F_i, never building that weight), 1-D
 cross-correlation, Kronecker-sum weight construction (one contraction,
 ``kron_sum``, builds dense and per-tap convolution weights alike), relu,
 batch norm, dropout, pooling, concatenation and softmax cross-entropy.
+``conv1d``, the 3-D ``batch_norm`` and ``global_avg_pool`` take sequences
+channel-major, [C, B, L], so each conv op is one GEMM over the whole batch.
 """
 
 from __future__ import annotations
@@ -292,14 +294,12 @@ def tensor_sum(x: Tensor) -> Tensor:
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """[B, C, L] -> [B, C] by averaging over the length axis."""
+    """Channel-major [C, B, L] -> [B, C] by averaging over the length axis."""
     if x.data.ndim != 3:
-        raise RankError(f"global_avg_pool needs [B, C, L], got shape {x.data.shape}")
+        raise RankError(f"global_avg_pool needs [C, B, L], got shape {x.data.shape}")
     L = x.data.shape[2]
-    data = x.data.mean(axis=2)
-    return _make_output(
-        data, [(x, lambda g: np.broadcast_to(g[:, :, None] / L, x.data.shape))]
-    )
+    data = x.data.mean(axis=2).T
+    return _make_output(data, [(x, lambda g: np.broadcast_to(g.T[:, :, None] / L, x.data.shape))])
 
 
 # ---------------------------------------------------------------------------
@@ -382,51 +382,46 @@ def phm_linear(x: Tensor, a: Tensor, f: Tensor, b: Tensor | None = None) -> Tens
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
-    """1-D cross-correlation of [B, Cin, L] with [Cout, Cin, K] kernels.
+    """1-D cross-correlation of channel-major x [Cin, B, L] with [Cout, Cin, K]
+    kernels -> [Cout, B, Lout], one GEMM over the whole batch.
 
     Output length is floor((L + 2*padding - K) / stride) + 1.
     """
     if x.data.ndim != 3 or w.data.ndim != 3:
-        raise RankError(f"conv1d needs x [B,Cin,L] and w [Cout,Cin,K], got {x.data.shape} and {w.data.shape}")
-    B, Cin, L = x.data.shape
+        raise RankError(f"conv1d needs x [Cin,B,L] and w [Cout,Cin,K], got {x.data.shape} and {w.data.shape}")
+    Cin, B, L = x.data.shape
     Cout, Cin_w, K = w.data.shape
     if Cin != Cin_w:
         raise DimensionError(f"conv1d channel mismatch: input {x.data.shape} vs weight {w.data.shape}")
-    if stride < 1:
-        raise DimensionError(f"conv1d stride must be >= 1, got {stride}")
-    if padding < 0:
-        raise DimensionError(f"conv1d padding must be >= 0, got {padding}")
+    if stride < 1 or padding < 0:
+        raise DimensionError(f"conv1d needs stride >= 1 and padding >= 0, got stride={stride}, padding={padding}")
     Lp = L + 2 * padding
     if K > Lp:
-        raise DimensionError(
-            f"conv1d kernel {w.data.shape} larger than padded input {x.data.shape} (padding={padding})"
-        )
+        raise DimensionError(f"conv1d kernel {w.data.shape} larger than padded input {x.data.shape} (padding={padding})")
     Lout = (Lp - K) // stride + 1
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)))
-    # cols[b, c, k, l] = xp[b, c, l*stride + k]: K strided slice copies, no transpose
-    span = stride * (Lout - 1) + 1
-    cols = np.empty((B, Cin, K, Lout))
-    for k in range(K):
-        cols[:, :, k, :] = xp[:, :, k : k + span : stride]
-    cols = cols.reshape(B, Cin * K, Lout)
+    # cols[(c, k), (b, l)] = xp[c, b, l*stride + k]: one copy of a strided window view
+    windows = np.lib.stride_tricks.sliding_window_view(xp, K, axis=2)[:, :, ::stride]
+    cols = windows.transpose(0, 3, 1, 2).reshape(Cin * K, B * Lout)
     wr = w.data.reshape(Cout, Cin * K)
-    y = np.matmul(wr, cols)  # C-contiguous [B, Cout, Lout]
+    y = (wr @ cols).reshape(Cout, B, Lout)
 
     def vjp_w(g):
-        return np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape)
+        return (g.reshape(Cout, B * Lout) @ cols.T).reshape(w.data.shape)
 
     def vjp_x(g):
-        # dcols comes out as [B, Cin, K, Lout], so each tap scatters one strided slice
-        dcols = np.matmul(wr.T, g).reshape(B, Cin, K, Lout)
-        dxp = np.zeros((B, Cin, Lp))
+        # dcols comes out as [Cin, K, B, Lout], so each tap scatters one strided slice
+        dcols = (wr.T @ g.reshape(Cout, B * Lout)).reshape(Cin, K, B, Lout)
+        dxp = np.zeros((Cin, B, Lp))
+        span = stride * (Lout - 1) + 1
         for k in range(K):
-            dxp[:, :, k : k + span : stride] += dcols[:, :, k, :]
+            dxp[:, :, k : k + span : stride] += dcols[:, k]
         return dxp[:, :, padding : padding + L]
 
     vjps = [(x, vjp_x), (w, vjp_w)]
     if b is not None:
-        y += b.data[:, None]
-        vjps.append((b, lambda g: g.sum(axis=(0, 2))))
+        y += b.data[:, None, None]
+        vjps.append((b, lambda g: g.sum(axis=(1, 2))))
     return _make_output(y, vjps)
 
 
@@ -447,7 +442,8 @@ def batch_norm(
     momentum: float = 0.1,
     eps: float = BN_EPS,
 ) -> Tensor:
-    """Batch normalization over the channel axis of [B, C] or [B, C, L].
+    """Batch normalization per channel of [B, C], over B, or of channel-major
+    [C, B, L], over the trailing contiguous (B, L).
 
     Train mode normalizes with the batch's population statistics and updates
     the running buffers in place (running = (1-momentum)*running +
@@ -456,12 +452,12 @@ def batch_norm(
     nd = x.data.ndim
     if nd == 2:
         axes, shape_c, sub = (0,), (1, -1), "bc,bc->c"
+        B, C = x.data.shape
     elif nd == 3:
-        axes, shape_c, sub = (0, 2), (1, -1, 1), "bcl,bcl->c"
+        axes, shape_c, sub = (1, 2), (-1, 1, 1), "cbl,cbl->c"
+        C, B = x.data.shape[:2]
     else:
-        raise RankError(f"batch_norm needs [B,C] or [B,C,L], got shape {x.data.shape}")
-    B = x.data.shape[0]
-    C = x.data.shape[1]
+        raise RankError(f"batch_norm needs [B,C] or [C,B,L], got shape {x.data.shape}")
     if gamma.data.shape != (C,) or beta.data.shape != (C,):
         raise DimensionError(f"batch_norm affine shapes {gamma.data.shape}/{beta.data.shape} do not match C={C}")
 

@@ -93,7 +93,7 @@ def test_c02_n1_degeneracy_outputs_and_gradients():
             conv = PHCLayer(c_in, c_out, None, k, rng, stride=stride, padding=pad)
             conv.w.data = phc.weight.f.data[0].copy()
             conv.b.data = phc.b.data.copy()
-            x1 = Tensor(rng.standard_normal((2, c_in, length)), requires_grad=True)
+            x1 = Tensor(rng.standard_normal((2, c_in, length)).transpose(1, 0, 2), requires_grad=True)
             x2 = Tensor(x1.data.copy(), requires_grad=True)
             with tape_scope():
                 y1, y2 = relu(phc(x1)), relu(conv(x2))

@@ -4,8 +4,9 @@ every one of them must still exist, so a refactor that drops one fails here."""
 import numpy as np
 
 from hyperx import tensor
+from hyperx.dataset import SEGMENT_SHAPES
 from hyperx.model import FUSION_ORDER, H2Model
-from hyperx.tensor import no_grad
+from hyperx.tensor import no_grad, tape_scope
 from perfbench.probes import Probes
 from perfbench.spans import Tracer
 
@@ -51,3 +52,31 @@ def test_probes_see_every_conv_stage_of_an_eval_forward():
     bn_encoders = [names[span[4]] for span in tracer.spans if span[1] == "tensor.batch_norm"]
     assert bn_encoders == ["model.enc_gsr.forward"]
     assert not encoders["model.enc_gsr.forward"].conv
+
+
+def test_probe_counts_the_work_of_every_train_conv():
+    """conv1d.flop and conv1d.bytes of one train forward of a phc model equal
+    sums over the conv stages' shapes, whichever of B and Cin comes first in x."""
+    cfg = tiny_model_config(variant="phc")
+    model = H2Model(cfg, seed=0)
+    B = 3
+    batch = random_batch(np.random.default_rng(0), batch=B)
+    flop = moved = 0
+    for m in ("eeg", "ecg", "eye"):
+        c_in, length = SEGMENT_SHAPES[m]
+        for c_out in cfg.conv_channels(m):
+            l_out = (length + 2 * cfg.padding - cfg.kernel_size) // cfg.stride + 1
+            flop += 2 * B * c_out * l_out * c_in * cfg.kernel_size
+            moved += B * c_in * length + c_out * c_in * cfg.kernel_size + B * c_out * l_out + c_out
+            c_in, length = c_out, l_out
+    tracer = Tracer()
+    probes = Probes(tracer)
+    try:
+        probes.install()
+        with tape_scope():
+            model.forward(**batch, train=True, rng=np.random.default_rng(1))
+    finally:
+        probes.patches.restore()
+    assert tracer.summary()["tensor.conv1d"]["calls"] == 6
+    assert tracer.counts["conv1d.flop"] == flop
+    assert tracer.counts["conv1d.bytes"] == 8 * moved

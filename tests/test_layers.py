@@ -276,7 +276,7 @@ def test_phc_n1_equals_conv_outputs_and_gradients():
     conv = PHCLayer(3, 5, None, 3, rng, stride=2, padding=1)
     conv.w.data = phc.weight.f.data[0].copy()
     conv.b.data = phc.b.data.copy()
-    x1 = Tensor(rng.standard_normal((2, 3, 14)), requires_grad=True)
+    x1 = Tensor(rng.standard_normal((2, 3, 14)).transpose(1, 0, 2), requires_grad=True)
     x2 = Tensor(x1.data.copy(), requires_grad=True)
     with tape_scope():
         y1, y2 = relu(phc(x1)), relu(conv(x2))
@@ -295,7 +295,7 @@ def test_phc_k1_equals_phm_per_time_step():
     phm.weight.f.data = phc.weight.f.data[:, :, :, 0].copy()
     phm.b.data = phc.b.data.copy()
     x = rng.standard_normal((2, 4, 9))
-    y_conv = phc(Tensor(x)).data
+    y_conv = phc(Tensor(x.transpose(1, 0, 2))).data.transpose(1, 0, 2)
     for t in range(9):
         y_t = phm(Tensor(x[:, :, t])).data
         np.testing.assert_allclose(y_conv[:, :, t], y_t, atol=1e-12)
@@ -309,7 +309,7 @@ def test_phc_equals_built_weight_through_conv_oracle():
     x = rng.standard_normal((2, 4, 10))
     w = kron_sum_taps(phc.weight.a, phc.weight.f).data
     want = conv_loop_oracle(x, w, phc.b.data, 2, 1)
-    np.testing.assert_allclose(phc(Tensor(x)).data, want, atol=1e-12)
+    np.testing.assert_allclose(phc(Tensor(x.transpose(1, 0, 2))).data.transpose(1, 0, 2), want, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +363,7 @@ def test_phm_gradcheck_all_parameters(n):
 def test_phc_gradcheck_all_parameters(n):
     rng = np.random.default_rng(30 + n)
     layer = PHCLayer(n, 2 * n, n, 3, rng, stride=2, padding=1)
-    x = Tensor(rng.standard_normal((3, n, 12)), requires_grad=True)
+    x = Tensor(rng.standard_normal((3, n, 12)).transpose(1, 0, 2), requires_grad=True)
 
     def f(_t):
         return tensor_sum(relu(layer(x)))

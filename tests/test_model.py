@@ -18,6 +18,7 @@ from hyperx.model import (
     serialize_model,
 )
 from hyperx.tensor import (
+    Tensor,
     backward,
     batch_norm,
     clear_tape,
@@ -201,7 +202,7 @@ def test_hypercomplex_phm_layers_never_build_their_weight(monkeypatch):
 
 def _unfolded_encoder_forward(self, x, train):
     """Oracle: every stage is layer -> batch_norm(train=False) -> relu."""
-    h = x if self.conv else reshape(x, (x.shape[0], self.d_flat))
+    h = Tensor(x.data.transpose(1, 0, 2)) if self.conv else reshape(x, (x.shape[0], self.d_flat))
     for layer, bn in self.stages:
         h = relu(batch_norm(layer(h), bn.gamma, bn.beta, bn.running_mean, bn.running_var, train=False))
     return global_avg_pool(h) if self.conv else h

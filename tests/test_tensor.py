@@ -201,6 +201,11 @@ def test_phm_linear_shape_errors_name_both_shapes():
 # ---------------------------------------------------------------------------
 
 
+def swap_bc(a):
+    """[B, C, L] <-> channel-major [C, B, L], the layout of conv1d, 3-D batch_norm and global_avg_pool."""
+    return a.transpose(1, 0, 2)
+
+
 def conv_loop_oracle(x, w, b, stride, padding):
     B, Cin, L = x.shape
     Cout, _, K = w.shape
@@ -234,7 +239,7 @@ def test_conv1d_matches_loop_oracle(stride, padding):
     x = rng.standard_normal((2, 3, 16))
     w = rng.standard_normal((4, 3, 3))
     b = rng.standard_normal(4)
-    got = conv1d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding).data
+    got = swap_bc(conv1d(Tensor(swap_bc(x)), Tensor(w), Tensor(b), stride=stride, padding=padding).data)
     np.testing.assert_allclose(got, conv_loop_oracle(x, w, b, stride, padding), atol=1e-12)
 
 
@@ -244,8 +249,8 @@ def test_conv1d_kernel_too_large():
 
 
 def test_conv1d_output_length():
-    y = conv1d(Tensor(np.zeros((1, 2, 13))), Tensor(np.zeros((3, 2, 4))), stride=3, padding=2)
-    assert y.shape == (1, 3, (13 + 4 - 4) // 3 + 1)
+    y = conv1d(Tensor(swap_bc(np.zeros((1, 2, 13)))), Tensor(np.zeros((3, 2, 4))), stride=3, padding=2)
+    assert swap_bc(y.data).shape == (1, 3, (13 + 4 - 4) // 3 + 1)
 
 
 @st.composite
@@ -274,12 +279,12 @@ ENCODER_GEOMETRY = dict(batch=2, c_in=4, c_out=3, length=19, k=7, stride=2, padd
 @example(ENCODER_GEOMETRY)
 def test_conv1d_property_forward_and_vjps(geom):
     rng = np.random.default_rng(geom["seed"])
-    x = Tensor(rng.standard_normal((geom["batch"], geom["c_in"], geom["length"])), requires_grad=True)
+    x = Tensor(swap_bc(rng.standard_normal((geom["batch"], geom["c_in"], geom["length"]))), requires_grad=True)
     w = Tensor(rng.standard_normal((geom["c_out"], geom["c_in"], geom["k"])), requires_grad=True)
     b = Tensor(rng.standard_normal(geom["c_out"]), requires_grad=True)
     stride, padding = geom["stride"], geom["padding"]
     y = conv1d(x, w, b, stride=stride, padding=padding).data
-    np.testing.assert_allclose(y, conv_loop_oracle(x.data, w.data, b.data, stride, padding), atol=1e-12)
+    np.testing.assert_allclose(swap_bc(y), conv_loop_oracle(swap_bc(x.data), w.data, b.data, stride, padding), atol=1e-12)
     # a random upstream array, so every output element weighs differently
     g = Tensor(rng.standard_normal(y.shape))
 
@@ -319,7 +324,7 @@ def test_relu_records_no_node_under_no_grad():
 
 
 def test_global_avg_pool_means():
-    x = Tensor([[[1.0, 1.0, 1.0, 1.0], [2.0, 4.0, 6.0, 8.0]]])
+    x = Tensor(swap_bc(np.array([[[1.0, 1.0, 1.0, 1.0], [2.0, 4.0, 6.0, 8.0]]])))
     np.testing.assert_array_equal(global_avg_pool(x).data, [[1.0, 5.0]])
 
 
@@ -371,9 +376,9 @@ def _bn_parts(channels):
 
 def test_batch_norm_standardizes_over_batch_and_length():
     rng = np.random.default_rng(4)
-    x = Tensor(5.0 + 3.0 * rng.standard_normal((8, 4, 16)))
+    x = Tensor(swap_bc(5.0 + 3.0 * rng.standard_normal((8, 4, 16))))
     gamma, beta, rm, rv = _bn_parts(4)
-    y = batch_norm(x, gamma, beta, rm, rv, train=True).data
+    y = swap_bc(batch_norm(x, gamma, beta, rm, rv, train=True).data)
     np.testing.assert_allclose(y.mean(axis=(0, 2)), 0.0, atol=1e-6)
     np.testing.assert_allclose(y.var(axis=(0, 2)), 1.0, atol=1e-4)
 
@@ -409,6 +414,11 @@ def _bn_reference(x, gamma, beta, eps=1e-5):
 BN_SHAPES = [(6, 3), (5, 4, 7)]
 
 
+def bn_layout(a):
+    """A [B, C] or [B, C, L] array in batch_norm's layout: [B, C] or [C, B, L], and back."""
+    return a if a.ndim == 2 else swap_bc(a)
+
+
 @pytest.mark.parametrize("shape", BN_SHAPES)
 def test_batch_norm_train_matches_numpy_reference(shape):
     rng = np.random.default_rng(12)
@@ -416,7 +426,7 @@ def test_batch_norm_train_matches_numpy_reference(shape):
     gamma, beta = rng.standard_normal(shape[1]), rng.standard_normal(shape[1])
     rm, rv = rng.standard_normal(shape[1]), 1.0 + rng.random(shape[1])
     rm0, rv0 = rm.copy(), rv.copy()
-    y = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), rm, rv, train=True, momentum=0.2).data
+    y = bn_layout(batch_norm(Tensor(bn_layout(x)), Tensor(gamma), Tensor(beta), rm, rv, train=True, momentum=0.2).data)
     want, mu, var = _bn_reference(x, gamma, beta)
     np.testing.assert_allclose(y, want, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(rm, 0.8 * rm0 + 0.2 * mu, rtol=1e-12, atol=1e-15)
@@ -430,7 +440,7 @@ def test_batch_norm_eval_matches_numpy_reference(shape):
     gamma, beta = rng.standard_normal(shape[1]), rng.standard_normal(shape[1])
     rm, rv = rng.standard_normal(shape[1]), 1.0 + rng.random(shape[1])
     shape_c = (1, -1) if len(shape) == 2 else (1, -1, 1)
-    y = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), rm.copy(), rv.copy(), train=False).data
+    y = bn_layout(batch_norm(Tensor(bn_layout(x)), Tensor(gamma), Tensor(beta), rm.copy(), rv.copy(), train=False).data)
     want = (x - rm.reshape(shape_c)) / np.sqrt(rv.reshape(shape_c) + 1e-5) * gamma.reshape(shape_c)
     np.testing.assert_allclose(y, want + beta.reshape(shape_c), rtol=1e-12, atol=1e-12)
 
@@ -441,11 +451,11 @@ def test_batch_norm_grad_check_with_one_upstream_for_all_inputs(shape, train):
     # x, gamma and beta all require grad, so every backward hands the same
     # upstream array to the three VJPs
     rng = np.random.default_rng(14)
-    x = Tensor(rng.standard_normal(shape), requires_grad=True)
+    x = Tensor(bn_layout(rng.standard_normal(shape)), requires_grad=True)
     gamma = Tensor(1.0 + rng.standard_normal(shape[1]), requires_grad=True)
     beta = Tensor(rng.standard_normal(shape[1]), requires_grad=True)
     rm, rv = rng.standard_normal(shape[1]), 1.0 + rng.random(shape[1])
-    g = Tensor(rng.standard_normal(shape))
+    g = Tensor(bn_layout(rng.standard_normal(shape)))
 
     def f(_t):
         return tensor_sum(mul(batch_norm(x, gamma, beta, rm, rv, train=train), g))
@@ -462,7 +472,7 @@ def test_batch_norm_second_backward_does_not_reuse_first_upstream(shape):
     g1, g2 = rng.standard_normal(shape), rng.standard_normal(shape)
 
     def grads(upstreams):
-        x = Tensor(x_data, requires_grad=True)
+        x = Tensor(bn_layout(x_data), requires_grad=True)
         gamma = Tensor(np.linspace(0.5, 1.5, shape[1]), requires_grad=True)
         beta = Tensor(np.zeros(shape[1]), requires_grad=True)
         rm, rv = np.zeros(shape[1]), np.ones(shape[1])
@@ -471,7 +481,7 @@ def test_batch_norm_second_backward_does_not_reuse_first_upstream(shape):
             y = batch_norm(x, gamma, beta, rm, rv, train=True)
             for g in upstreams:
                 zero_grads([x, gamma, beta])
-                backward(tensor_sum(mul(y, Tensor(g))))
+                backward(tensor_sum(mul(y, Tensor(bn_layout(g)))))
                 out.append((x.grad, gamma.grad, beta.grad))
         return out
 
@@ -485,23 +495,24 @@ def test_batch_norm_second_backward_does_not_reuse_first_upstream(shape):
 @pytest.mark.parametrize("shape", BN_SHAPES)
 def test_batch_norm_backward_twice_on_one_tape_adds_the_same_gradient(shape):
     rng = np.random.default_rng(18)
-    x = Tensor(rng.standard_normal(shape), requires_grad=True)
+    x_data = rng.standard_normal(shape)
+    x = Tensor(bn_layout(x_data), requires_grad=True)
     gamma = Tensor(1.0 + rng.random(shape[1]), requires_grad=True)
     beta = Tensor(rng.standard_normal(shape[1]), requires_grad=True)
     g = rng.standard_normal(shape)
     # hand-derived: dx = gamma/sigma * (g - mean(g) - xhat*mean(g*xhat)), dgamma = sum(g*xhat), dbeta = sum(g)
     axes = (0,) if len(shape) == 2 else (0, 2)
     mean = lambda a: a.mean(axis=axes, keepdims=True)
-    sigma = np.sqrt(x.data.var(axis=axes, keepdims=True) + 1e-5)
-    xhat = (x.data - mean(x.data)) / sigma
+    sigma = np.sqrt(x_data.var(axis=axes, keepdims=True) + 1e-5)
+    xhat = (x_data - mean(x_data)) / sigma
     gamma_c = gamma.data.reshape((1, -1) if len(shape) == 2 else (1, -1, 1))
     want = (gamma_c / sigma * (g - mean(g) - xhat * mean(g * xhat)), (g * xhat).sum(axis=axes), g.sum(axis=axes))
     with tape_scope():
         y = batch_norm(x, gamma, beta, np.zeros(shape[1]), np.ones(shape[1]), train=True)
-        loss = tensor_sum(mul(y, Tensor(g)))
+        loss = tensor_sum(mul(y, Tensor(bn_layout(g))))
         for passes in (1, 2):
             backward(loss)
-            for got, w in zip((x.grad, gamma.grad, beta.grad), want):
+            for got, w in zip((bn_layout(x.grad), gamma.grad, beta.grad), want):
                 np.testing.assert_allclose(got, passes * w, rtol=1e-10, atol=1e-12)
 
 
@@ -509,6 +520,19 @@ def test_batch_norm_degenerate_batch():
     gamma, beta, rm, rv = _bn_parts(3)
     with pytest.raises(DegenerateBatchError):
         batch_norm(Tensor(np.zeros((1, 3))), gamma, beta, rm, rv, train=True)
+
+
+def test_batch_norm_reads_the_batch_size_of_channel_major_input_from_axis_1():
+    rng = np.random.default_rng(19)
+    gamma, beta, rm, rv = _bn_parts(3)
+    # [C=3, B=1, L=5]: one segment per channel is a degenerate batch however long L is
+    with pytest.raises(DegenerateBatchError, match="got 1"):
+        batch_norm(Tensor(rng.standard_normal((3, 1, 5))), gamma, beta, rm, rv, train=True)
+    # [C=1, B=5, L=4]: a single channel over a batch of five normalizes
+    gamma, beta, rm, rv = _bn_parts(1)
+    y = batch_norm(Tensor(rng.standard_normal((1, 5, 4))), gamma, beta, rm, rv, train=True).data
+    assert y.shape == (1, 5, 4)
+    np.testing.assert_allclose(y.mean(), 0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
