@@ -192,13 +192,17 @@ class PHCLayer(_WeightLayer):
         self.stride = stride
         self.padding = padding
 
-    def forward(self, x: Tensor, bn: BatchNorm1d | None = None) -> Tensor:
-        """conv1d(x, W, b); given ``bn``, that output through eval-mode ``bn``,
-        with ``bn`` folded into W and b so that it is still one conv1d."""
-        w, b = self.w if self.weight is None else self.weight.build(), self.b
-        if bn is not None:
-            w, b = bn.fold(w, b)
+    def forward(self, x: Tensor, wb: tuple | None = None) -> Tensor:
+        """conv1d(x, W, b), or conv1d with a (weight, bias) pair ``wb`` built
+        beforehand, such as ``weight_and_bias(bn)``'s."""
+        w, b = wb or self.weight_and_bias()
         return conv1d(x, w, b, stride=self.stride, padding=self.padding)
+
+    def weight_and_bias(self, bn: BatchNorm1d | None = None) -> tuple:
+        """(W, b), with W built; given ``bn``, with eval-mode ``bn`` folded into
+        both, so that conv1d with them gives ``bn`` of this layer's output."""
+        w, b = self.w if self.weight is None else self.weight.build(), self.b
+        return (w, b) if bn is None else bn.fold(w, b)
 
 
 class BatchNorm1d(_Module):

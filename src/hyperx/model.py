@@ -24,8 +24,10 @@ encoder transposes its [B, C, L] input once and pooling returns [B, C].
 
 In eval mode BN is a fixed per-channel affine map, so a conv stage folds it
 into the convolution's weight and bias (``BatchNorm1d.fold``) and runs as one
-conv1d then ReLU, with no batch-norm pass.  Flat stages keep eval-mode
-``batch_norm``, which is already one scale and shift.
+conv1d then ReLU, with no batch-norm pass.  No stage then couples two segments,
+so each weight is built and folded once per forward and the stages run
+``EVAL_CHUNK`` segments at a time: no conv intermediate is batch-sized.  Flat
+stages keep eval-mode ``batch_norm``, which is already one scale and shift.
 
 Checkpoint container: magic ``H2CK``, u32 version, u32 length + canonical
 JSON config block, u32 tensor count, then per tensor: u32 name length,
@@ -51,6 +53,7 @@ from .tensor import Tensor, concat, global_avg_pool, relu, reshape
 __all__ = [
     "VARIANTS",
     "FUSION_ORDER",
+    "EVAL_CHUNK",
     "ModelConfig",
     "H2Model",
     "serialize_model",
@@ -63,6 +66,9 @@ VARIANTS = ("linear", "phm", "conv", "phc")
 # Modalities in the order their encoders are built (and draw from the rng),
 # their embeddings are concatenated and their parameters are stored.
 FUSION_ORDER = ("eeg", "ecg", "eye", "gsr")
+
+# Segments per pass of an eval conv encoder; 4 to 32 ran at one speed, 64 took more memory
+EVAL_CHUNK = 16
 
 _MAGIC = b"H2CK"
 _VERSION = 1
@@ -137,7 +143,8 @@ class ModelConfig(JsonConfig):
 class _Encoder:
     """One modality's [layer -> BN -> ReLU] stages; see the module docstring.
 
-    In eval mode each conv stage is [conv with BN folded in -> ReLU].
+    In eval mode each conv stage is [conv with BN folded in -> ReLU], over
+    ``EVAL_CHUNK`` segments at a time.
     """
 
     def __init__(self, cfg: ModelConfig, modality: str, rng):
@@ -176,10 +183,18 @@ class _Encoder:
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
         # conv stages run channel-major; x is model input, so it needs no gradient
+        if self.conv and not train:
+            wbs = [layer.weight_and_bias(bn) for layer, bn in self.stages]
+            pooled = []
+            for start in range(0, x.shape[0] or 1, EVAL_CHUNK):  # an empty batch is one empty chunk
+                h = Tensor(x.data[start : start + EVAL_CHUNK].transpose(1, 0, 2))
+                for (layer, _), wb in zip(self.stages, wbs):
+                    h = relu(layer(h, wb))
+                pooled.append(global_avg_pool(h))
+            return concat(pooled, axis=0)
         h = Tensor(x.data.transpose(1, 0, 2)) if self.conv else reshape(x, (x.shape[0], self.d_flat))
-        fold = self.conv and not train
         for layer, bn in self.stages:
-            h = relu(layer(h, bn) if fold else bn(layer(h), train))
+            h = relu(bn(layer(h), train))
         return global_avg_pool(h) if self.conv else h
 
     def submodules(self):

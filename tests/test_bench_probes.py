@@ -5,7 +5,7 @@ import numpy as np
 
 from hyperx import tensor
 from hyperx.dataset import SEGMENT_SHAPES
-from hyperx.model import FUSION_ORDER, H2Model
+from hyperx.model import EVAL_CHUNK, FUSION_ORDER, H2Model
 from hyperx.tensor import no_grad, tape_scope
 from perfbench.probes import Probes
 from perfbench.spans import Tracer
@@ -29,28 +29,31 @@ def test_benchmark_probes_install_and_restore():
 
 
 def test_probes_see_every_conv_stage_of_an_eval_forward():
-    """An eval forward of a phc model: one probed conv1d and one weight build
-    per conv stage, and no batch norm inside an encoder with conv stages."""
+    """An eval forward of a phc model: one weight build per conv stage, one
+    probed conv1d per conv stage and eval chunk, and no batch norm inside an
+    encoder with conv stages."""
     model = H2Model(tiny_model_config(variant="phc"), seed=0)
-    batch = random_batch(np.random.default_rng(0), batch=2)
-    tracer = Tracer()
-    probes = Probes(tracer)
-    try:
-        probes.install()
-        probes.instrument_model(model)
-        with no_grad():
-            model.forward(**batch)
-    finally:
-        probes.patches.restore()
     encoders = {f"model.enc_{m}.forward": getattr(model, f"enc_{m}") for m in FUSION_ORDER}
     conv_stages = sum(len(enc.stages) for enc in encoders.values() if enc.conv)
     assert conv_stages == 6
-    calls = tracer.summary()
-    assert calls["tensor.conv1d"]["calls"] == conv_stages
-    assert calls["layers.weight_build"]["calls"] == conv_stages
-    names = {span[0]: span[1] for span in tracer.spans}
-    bn_encoders = [names[span[4]] for span in tracer.spans if span[1] == "tensor.batch_norm"]
-    assert bn_encoders == ["model.enc_gsr.forward"]
+    # one chunk, then two chunks of which the last is partial
+    for batch_size, chunks in ((2, 1), (EVAL_CHUNK + 1, 2)):
+        batch = random_batch(np.random.default_rng(0), batch=batch_size)
+        tracer = Tracer()
+        probes = Probes(tracer)
+        try:
+            probes.install()
+            probes.instrument_model(model)
+            with no_grad():
+                model.forward(**batch)
+        finally:
+            probes.patches.restore()
+        calls = tracer.summary()
+        assert calls["tensor.conv1d"]["calls"] == conv_stages * chunks
+        assert calls["layers.weight_build"]["calls"] == conv_stages
+        names = {span[0]: span[1] for span in tracer.spans}
+        bn_encoders = [names[span[4]] for span in tracer.spans if span[1] == "tensor.batch_norm"]
+        assert bn_encoders == ["model.enc_gsr.forward"]
     assert not encoders["model.enc_gsr.forward"].conv
 
 

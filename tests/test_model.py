@@ -1,15 +1,17 @@
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperx import layers
 from hyperx.errors import ConfigError, DimensionError, FormatError, InputValidationError
 from hyperx.layers import HypercomplexWeight, PHMLayer
 from hyperx.model import (
+    EVAL_CHUNK,
     H2Model,
     ModelConfig,
     VARIANTS,
@@ -233,6 +235,8 @@ def _eval_logits_and_grads(model, batch):
 
 @settings(max_examples=6, deadline=None)
 @given(variant=st.sampled_from(["phc", "conv"]), seed=st.integers(0, 2**16), batch=st.integers(1, 3))
+@example(variant="phc", seed=5, batch=EVAL_CHUNK + 1)  # two eval chunks, the last one partial
+@example(variant="conv", seed=6, batch=EVAL_CHUNK + 1)
 def test_folded_eval_logits_match_the_unfolded_oracle(variant, seed, batch):
     model = _randomized_model(variant, seed)
     inputs = random_batch(np.random.default_rng(seed + 1), batch=batch)
@@ -248,17 +252,46 @@ def test_folded_eval_logits_match_the_unfolded_oracle(variant, seed, batch):
 
 
 @pytest.mark.parametrize("variant", ["phc", "conv"])
-def test_folded_eval_gradients_match_the_unfolded_oracle(variant, monkeypatch):
+def test_folded_eval_gradients_match_the_unfolded_oracle(variant):
     model = _randomized_model(variant, seed=11)
-    batch = random_batch(np.random.default_rng(12), batch=3)
-    logits, grads = _eval_logits_and_grads(model, batch)
-    monkeypatch.setattr(_Encoder, "forward", _unfolded_encoder_forward)
-    want_logits, want_grads = _eval_logits_and_grads(model, batch)
-    np.testing.assert_allclose(logits, want_logits, rtol=0, atol=1e-12 * np.abs(want_logits).max())
-    assert grads.keys() == want_grads.keys()
-    for name, want in want_grads.items():
-        assert grads[name] is not None and want is not None, f"{name} got no gradient"
-        np.testing.assert_allclose(grads[name], want, rtol=0, atol=1e-10 * np.abs(want).max(), err_msg=name)
+    # one eval chunk, then two whose gradients meet on each folded weight
+    for batch_size in (3, EVAL_CHUNK + 1):
+        batch = random_batch(np.random.default_rng(12), batch=batch_size)
+        logits, grads = _eval_logits_and_grads(model, batch)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Encoder, "forward", _unfolded_encoder_forward)
+            want_logits, want_grads = _eval_logits_and_grads(model, batch)
+        np.testing.assert_allclose(logits, want_logits, rtol=0, atol=1e-12 * np.abs(want_logits).max())
+        assert grads.keys() == want_grads.keys()
+        for name, want in want_grads.items():
+            assert grads[name] is not None and want is not None, f"{name} got no gradient"
+            np.testing.assert_allclose(grads[name], want, rtol=0, atol=1e-10 * np.abs(want).max(), err_msg=name)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_empty_eval_batch_gives_empty_logits(variant):
+    model = H2Model(tiny_model_config(variant=variant), seed=0)
+    batch = random_batch(np.random.default_rng(0), batch=0)
+    with no_grad():
+        assert model.forward(**batch).shape == (0, 3)
+    with tape_scope():
+        assert model.forward(**batch).shape == (0, 3)
+
+
+def test_eval_forward_holds_no_batch_sized_conv_intermediate():
+    """tracemalloc peak of one no_grad forward of the default phc model at
+    B=256: about 40 MB when the conv encoders run in eval chunks, 394 MB when
+    each conv stage runs over the whole batch."""
+    model = H2Model(seed=0)
+    batch = random_batch(np.random.default_rng(0), batch=256)
+    tracemalloc.start()
+    try:
+        with no_grad():
+            model.forward(**batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6, f"{peak / 1e6:.0f} MB"
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from hyperx.dataset import split_segments
 from hyperx.errors import ConfigError, GradientError
-from hyperx.model import H2Model
+from hyperx.model import EVAL_CHUNK, H2Model
 from hyperx.trainer import (
     Adam,
     EarlyStopper,
@@ -12,6 +12,7 @@ from hyperx.trainer import (
     compute_metrics,
     evaluate,
     one_cycle,
+    predict,
     train,
 )
 
@@ -244,6 +245,17 @@ def test_evaluate_is_pure(tiny_segments):
     a = evaluate(model, tiny_segments, "arousal")
     b = evaluate(model, tiny_segments, "arousal")
     assert a.to_dict() == b.to_dict()
+
+
+def test_predict_is_the_same_at_any_batch_size(tiny_segments):
+    """Batches that end inside, at and across the encoders' eval chunks all
+    give the predictions of one batch of 256."""
+    assert len(tiny_segments) >= 2 * EVAL_CHUNK + 1
+    model = H2Model(tiny_model_config(variant="phc"), seed=0)
+    want = predict(model, tiny_segments, batch_size=256)
+    assert len(np.unique(want)) > 1  # a constant prediction would show nothing
+    for batch_size in (1, EVAL_CHUNK - 1, EVAL_CHUNK + 1):
+        np.testing.assert_array_equal(predict(model, tiny_segments, batch_size), want, err_msg=str(batch_size))
 
 
 def test_train_is_deterministic(tiny_segments):
