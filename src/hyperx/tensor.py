@@ -18,6 +18,13 @@ cross-correlation, Kronecker-sum weight construction (one contraction,
 batch norm, dropout, pooling, concatenation and softmax cross-entropy.
 ``conv1d``, the 3-D ``batch_norm`` and ``global_avg_pool`` take sequences
 channel-major, [C, B, L], so each conv op is one GEMM over the whole batch.
+
+A VJP keeps only the arrays its formula reads, and rebuilds the rest in
+backward: ``conv1d`` keeps its input (its im2col columns are rebuilt),
+train-mode ``batch_norm`` its input and the per-channel mean and 1/sigma
+(x-hat is rebuilt), and ``relu`` its output.  An op's input array must
+therefore not be written between the forward and the backward; ``linear``
+relies on this as well.
 """
 
 from __future__ import annotations
@@ -399,15 +406,21 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
     if K > Lp:
         raise DimensionError(f"conv1d kernel {w.data.shape} larger than padded input {x.data.shape} (padding={padding})")
     Lout = (Lp - K) // stride + 1
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)))
-    # cols[(c, k), (b, l)] = xp[c, b, l*stride + k]: one copy of a strided window view
-    windows = np.lib.stride_tricks.sliding_window_view(xp, K, axis=2)[:, :, ::stride]
-    cols = windows.transpose(0, 3, 1, 2).reshape(Cin * K, B * Lout)
+    xd = x.data
+
+    def im2col():
+        # cols[(c, k), (b, l)] = xp[c, b, l*stride + k]: one copy of a strided
+        # window view of the padded input xp
+        xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding)))
+        windows = np.lib.stride_tricks.sliding_window_view(xp, K, axis=2)[:, :, ::stride]
+        return windows.transpose(0, 3, 1, 2).reshape(Cin * K, B * Lout)
+
     wr = w.data.reshape(Cout, Cin * K)
-    y = (wr @ cols).reshape(Cout, B, Lout)
+    y = (wr @ im2col()).reshape(Cout, B, Lout)
 
     def vjp_w(g):
-        return (g.reshape(Cout, B * Lout) @ cols.T).reshape(w.data.shape)
+        # rebuilt here so that the tape keeps x, not columns K/stride times its size
+        return (g.reshape(Cout, B * Lout) @ im2col().T).reshape(w.data.shape)
 
     def vjp_x(g):
         # dcols comes out as [Cin, K, B, Lout], so each tap scatters one strided slice
@@ -480,32 +493,43 @@ def batch_norm(
     if B < 2:
         raise DegenerateBatchError(f"batch_norm in train mode needs batch size >= 2, got {B}")
     n = x.data.size // C
-    mu = x.data.mean(axis=axes)
-    xhat = x.data - mu.reshape(shape_c)
-    var = np.einsum(sub, xhat, xhat) / n
+    xd = x.data
+    mu_c = xd.mean(axis=axes).reshape(shape_c)
+    y = xd - mu_c  # x - mu, then xhat, then y in the same buffer
+    var = np.einsum(sub, y, y) / n
     running_mean *= 1.0 - momentum
-    running_mean += momentum * mu
+    running_mean += momentum * mu_c.reshape(C)
     running_var *= 1.0 - momentum
     running_var += momentum * var
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv.reshape(shape_c)
-    y = xhat * gamma.data.reshape(shape_c)
+    inv_c = (1.0 / np.sqrt(var + eps)).reshape(shape_c)
+    y *= inv_c
+    y *= gamma.data.reshape(shape_c)
     y += beta.data.reshape(shape_c)
-    scale = (gamma.data * inv).reshape(shape_c)
+    scale = gamma.data.reshape(shape_c) * inv_c
+
+    def xhat():
+        # rebuilt from x in backward by the forward's operations, so it equals
+        # the forward's xhat bit for bit without being kept between the passes
+        xh = xd - mu_c
+        xh *= inv_c
+        return xh
 
     sums_memo = []
 
-    def sums(g):
+    def sums(g, xh=None):
         # (sum g, sum g*xhat) per channel, computed once per upstream array; g is
         # held weakly so the memo does not keep it alive once backward drops it
         if not sums_memo or sums_memo[0]() is not g:
-            sums_memo[:] = [weakref.ref(g), g.sum(axis=axes), np.einsum(sub, g, xhat)]
+            if xh is None:
+                xh = xhat()
+            sums_memo[:] = [weakref.ref(g), g.sum(axis=axes), np.einsum(sub, g, xh)]
         return sums_memo[1], sums_memo[2]
 
     def vjp_x(g):
         # dx = (g - xhat*mean(g*xhat) - mean(g)) * gamma * inv over the batch axes
-        sg, sgx = sums(g)
-        dx = xhat * (sgx / n).reshape(shape_c)
+        dx = xhat()
+        sg, sgx = sums(g, dx)
+        dx *= (sgx / n).reshape(shape_c)
         np.subtract(g, dx, out=dx)
         dx -= (sg / n).reshape(shape_c)
         dx *= scale

@@ -83,3 +83,38 @@ def test_probe_counts_the_work_of_every_train_conv():
     assert tracer.summary()["tensor.conv1d"]["calls"] == 6
     assert tracer.counts["conv1d.flop"] == flop
     assert tracer.counts["conv1d.bytes"] == 8 * moved
+
+
+def test_probes_read_the_tape_of_a_train_backward():
+    """A train forward and backward of a phc model under the probes: the
+    backward probe's tape hook counts every node and the bytes of every node
+    output, and the gradients are those of the same step without probes."""
+    model = H2Model(tiny_model_config(variant="phc"), seed=0)
+    batch = random_batch(np.random.default_rng(0), batch=3)
+    labels = np.array([0, 1, 2])
+
+    def step():
+        model_grads = {}
+        with tape_scope() as tape:
+            logits = model.forward(**batch, train=True, rng=np.random.default_rng(1))
+            tensor.softmax_cross_entropy(logits, labels).backward()
+            nodes = list(tape.nodes)
+        for name, p in model.named_parameters():
+            model_grads[name], p.grad = p.grad, None
+        return nodes, model_grads
+
+    _, want = step()
+    tracer = Tracer()
+    probes = Probes(tracer)
+    try:
+        probes.install()
+        probes.instrument_model(model)
+        nodes, got = step()
+    finally:
+        probes.patches.restore()
+    assert tracer.summary()["tensor.backward"]["calls"] == 1
+    assert tracer.counts["tape.nodes"] == len(nodes) > 0
+    assert tracer.counts["tape.bytes"] == sum(node.out.data.nbytes for node in nodes)
+    assert got.keys() == want.keys()
+    for name, g in want.items():
+        np.testing.assert_array_equal(got[name], g, err_msg=name)

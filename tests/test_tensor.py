@@ -516,6 +516,34 @@ def test_batch_norm_backward_twice_on_one_tape_adds_the_same_gradient(shape):
                 np.testing.assert_allclose(got, passes * w, rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(64, 3), (16, 4, 300)])
+def test_batch_norm_affine_gradients_without_an_input_gradient(shape):
+    """x needs no gradient, so only gamma's and beta's VJPs run; they match the
+    hand-derived sums and keep no activation-sized array once backward returns."""
+    rng = np.random.default_rng(20)
+    x_data = rng.standard_normal(shape)
+    x = Tensor(bn_layout(x_data))
+    gamma = Tensor(1.0 + rng.random(shape[1]), requires_grad=True)
+    beta = Tensor(rng.standard_normal(shape[1]), requires_grad=True)
+    g = rng.standard_normal(shape)
+    axes = (0,) if len(shape) == 2 else (0, 2)
+    xhat = (x_data - x_data.mean(axis=axes, keepdims=True)) / np.sqrt(x_data.var(axis=axes, keepdims=True) + 1e-5)
+    with tape_scope() as tape:
+        y = batch_norm(x, gamma, beta, np.zeros(shape[1]), np.ones(shape[1]), train=True)
+        loss = tensor_sum(mul(y, Tensor(bn_layout(g))))
+        assert [t for t, _ in tape.nodes[0].vjps] == [gamma, beta]
+        tracemalloc.start()
+        try:
+            backward(loss)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < x.data.nbytes / 2, held / x.data.nbytes
+    assert x.grad is None
+    np.testing.assert_allclose(gamma.grad, (g * xhat).sum(axis=axes), rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(beta.grad, g.sum(axis=axes), rtol=1e-10, atol=1e-12)
+
+
 def test_batch_norm_degenerate_batch():
     gamma, beta, rm, rv = _bn_parts(3)
     with pytest.raises(DegenerateBatchError):
