@@ -446,7 +446,7 @@ def _checked(obj, schema: dict, where: str) -> dict:
 def load_dataset(path) -> TrialDataset:
     """Read a raw dataset directory; a malformed manifest is a FormatError, a
     payload that disagrees with it or holds a non-finite value an IntegrityError."""
-    root = Path(path)
+    root = Path(path).resolve()
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise FormatError(f"no manifest.json under {root}")
@@ -466,7 +466,9 @@ def load_dataset(path) -> TrialDataset:
     trials = []
     for i, entry in enumerate(manifest["trials"]):
         _checked(entry, _TRIAL_KEYS, f"manifest trial {i}")
-        fpath = root / entry["file"]
+        fpath = (root / entry["file"]).resolve()
+        if not fpath.is_relative_to(root):
+            raise FormatError(f"trial {entry['id']}: payload file {entry['file']!r} lies outside {root}")
         if not fpath.exists():
             raise IntegrityError(f"trial {entry['id']}: missing payload file {entry['file']}")
         payload = fpath.read_bytes()

@@ -375,6 +375,8 @@ def deserialize_model(data: bytes) -> tuple[H2Model, dict]:
     for _ in range(r.u32("tensor count")):
         # a name that is not UTF-8 decodes with U+FFFD and then matches no tensor below
         name = str(r.take(r.u32("tensor name length"), "tensor name"), "utf-8", "replace")
+        if name in tensors:
+            raise FormatError(f"checkpoint lists tensor {name} twice")
         rank = r.u32(f"rank of {name}")
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank, f"dims of {name}"))
         data_bytes = r.take(8 * math.prod(dims), f"data of {name}")

@@ -1,14 +1,16 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 Every differentiable operation appends one node to the active tape, so the
-tape's recording order is already a topological order of the graph.
-``backward`` walks the tape once in reverse, computing vector-Jacobian
-products.  Gradients land on leaves only: a tensor that no node on the tape
-produced gets its gradient added onto ``grad``, while an intermediate gets
-none, and each intermediate's gradient is dropped as soon as its node has
-used it.  Calling ``backward`` twice without resetting therefore
-accumulates leaf gradients (second call adds the same gradient again); use
-``zero_grads`` or ``clear_tape`` between steps.
+tape's recording order is already a topological order of the graph.  A node
+holds the op's output, its inputs and one VJP that maps the output's
+gradient to one gradient per input, so work that two input gradients share
+is done once.  ``backward`` walks the tape once in reverse.  Gradients land
+on leaves only: a tensor that no node on the tape produced gets its
+gradient added onto ``grad``, while an intermediate gets none, and each
+intermediate's gradient is dropped as soon as its node has used it.
+Calling ``backward`` twice without resetting therefore accumulates leaf
+gradients (second call adds the same gradient again); use ``zero_grads`` or
+``clear_tape`` between steps.
 
 The engine is single-threaded per tape and supports exactly the operations
 the model stack needs: linear, the hypercomplex product ``phm_linear`` (x
@@ -24,14 +26,16 @@ backward: ``conv1d`` keeps its input (its im2col columns are rebuilt),
 train-mode ``batch_norm`` its input and the per-channel mean and 1/sigma
 (x-hat is rebuilt), and ``relu`` its output.  An op's input array must
 therefore not be written between the forward and the backward; ``linear``
-relies on this as well.
+relies on this as well.  ``linear``, ``phm_linear``, ``conv1d`` and
+``batch_norm`` compute the gradient of x only if x requires grad, since x
+can be model data.
 """
 
 from __future__ import annotations
 
 import contextlib
 import threading
-import weakref
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,12 +124,11 @@ class Tensor:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(slots=True)
 class _Node:
-    __slots__ = ("out", "vjps")
-
-    def __init__(self, out, vjps):
-        self.out = out
-        self.vjps = vjps  # list of (input_tensor, fn(grad_out) -> grad_in)
+    out: Tensor
+    inputs: tuple  # the op's input Tensors, in order
+    vjp: Callable  # fn(grad_out) -> one gradient (or None) per input, in order
 
 
 class Tape:
@@ -133,9 +136,6 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
-
-    def clear(self):
-        self.nodes.clear()
 
     def __len__(self):
         return len(self.nodes)
@@ -168,7 +168,7 @@ def tape_scope():
 
 
 def clear_tape():
-    active_tape().clear()
+    active_tape().nodes.clear()
 
 
 @contextlib.contextmanager
@@ -181,16 +181,16 @@ def no_grad():
         _STATE.grad_enabled.pop()
 
 
-def _recording() -> bool:
-    return _STATE.grad_enabled[-1]
+def _make_output(data, inputs, vjp) -> Tensor:
+    """Wrap ``data``; record a node if recording is on and any input requires grad.
 
-
-def _make_output(data, vjp_pairs) -> Tensor:
-    """Wrap ``data``; record a node if any input requires grad."""
-    tracked = [(t, fn) for t, fn in vjp_pairs if t.requires_grad]
-    if _recording() and tracked:
+    ``vjp(g)`` maps the output's gradient to a tuple of exactly one gradient
+    per input, in the order of ``inputs``.  It may give None for an input that
+    needs no gradient; ``backward`` skips every input that does not require grad.
+    """
+    if _STATE.grad_enabled[-1] and any(t.requires_grad for t in inputs):
         out = Tensor(data, requires_grad=True)
-        active_tape().nodes.append(_Node(out, tracked))
+        active_tape().nodes.append(_Node(out, inputs, vjp))
         return out
     return Tensor(data)
 
@@ -212,9 +212,9 @@ def backward(loss: Tensor):
         entry = grads.pop(id(node.out), None)
         if entry is None:
             continue
-        g = entry[1]
-        for t, vjp in node.vjps:
-            contrib = vjp(g)
+        for t, contrib in zip(node.inputs, node.vjp(entry[1]), strict=True):
+            if not t.requires_grad:
+                continue
             key = id(t)
             grads[key] = (t, grads[key][1] + contrib) if key in grads else (t, contrib)
     # every entry left belongs to a tensor no node produced: a leaf
@@ -244,69 +244,59 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
-    return _make_output(
-        data,
-        [(a, lambda g: _unbroadcast(g, a.data.shape)), (b, lambda g: _unbroadcast(g, b.data.shape))],
-    )
+    sa, sb = a.data.shape, b.data.shape
+    return _make_output(data, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
+    ad, bd = a.data, b.data
+    data = ad * bd
     return _make_output(
-        data,
-        [
-            (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
-            (b, lambda g: _unbroadcast(g * a.data, b.data.shape)),
-        ],
+        data, (a, b), lambda g: (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape))
     )
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
-    return _make_output(a.data * s, [(a, lambda g: g * s)])
+    return _make_output(a.data * s, (a,), lambda g: (g * s,))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape, dtype=np.int64)) != a.data.size:
         raise DimensionError(f"cannot reshape {a.data.shape} to {shape}")
-    return _make_output(a.data.reshape(shape), [(a, lambda g: g.reshape(a.data.shape))])
+    sa = a.data.shape
+    return _make_output(a.data.reshape(shape), (a,), lambda g: (g.reshape(sa),))
 
 
 def concat(tensors, axis: int = 1) -> Tensor:
-    tensors = list(tensors)
+    tensors = tuple(tensors)
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    vjps = []
-    start = 0
-    for t in tensors:
-        width = t.data.shape[axis]
-        sl = [slice(None)] * data.ndim
-        sl[axis] = slice(start, start + width)
-        sl = tuple(sl)
-        vjps.append((t, lambda g, sl=sl: g[sl]))
-        start += width
-    return _make_output(data, vjps)
+    # each input's gradient is its slice of g along ``axis``
+    offsets = np.cumsum([t.data.shape[axis] for t in tensors[:-1]])
+    return _make_output(data, tensors, lambda g: tuple(np.split(g, offsets, axis=axis)))
 
 
 def relu(x: Tensor) -> Tensor:
     # the VJP rebuilds the x > 0 mask from the output: y > 0 exactly where x > 0
     y = np.maximum(x.data, 0.0)
-    return _make_output(y, [(x, lambda g: g * (y > 0))])
+    return _make_output(y, (x,), lambda g: (g * (y > 0),))
 
 
 def tensor_sum(x: Tensor) -> Tensor:
     """Sum of all elements, returned as a scalar tensor."""
     data = np.asarray(x.data.sum())
-    return _make_output(data, [(x, lambda g: np.broadcast_to(g, x.data.shape).copy())])
+    sx = x.data.shape
+    return _make_output(data, (x,), lambda g: (np.broadcast_to(g, sx).copy(),))
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
     """Channel-major [C, B, L] -> [B, C] by averaging over the length axis."""
     if x.data.ndim != 3:
         raise RankError(f"global_avg_pool needs [C, B, L], got shape {x.data.shape}")
-    L = x.data.shape[2]
+    sx = x.data.shape
     data = x.data.mean(axis=2).T
-    return _make_output(data, [(x, lambda g: np.broadcast_to(g.T[:, :, None] / L, x.data.shape))])
+    return _make_output(data, (x,), lambda g: (np.broadcast_to(g.T[:, :, None] / sx[2], sx),))
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +312,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise DimensionError(
             f"linear input width {x.data.shape} does not match weight {w.data.shape}"
         )
-    data = x.data @ w.data.T
-    vjps = [
-        (x, lambda g: g @ w.data),
-        (w, lambda g: g.T @ x.data),
-    ]
+    xd, wd, x_grad = x.data, w.data, x.requires_grad
+    data = xd @ wd.T
     if b is not None:
         data = data + b.data
-        vjps.append((b, lambda g: g.sum(axis=0)))
-    return _make_output(data, vjps)
+
+    def vjp(g):
+        dx = g @ wd if x_grad else None
+        return (dx, g.T @ xd) if b is None else (dx, g.T @ xd, g.sum(axis=0))
+
+    return _make_output(data, (x, w) if b is None else (x, w, b), vjp)
 
 
 def phm_linear(x: Tensor, a: Tensor, f: Tensor, b: Tensor | None = None) -> Tensor:
@@ -360,32 +351,22 @@ def phm_linear(x: Tensor, a: Tensor, f: Tensor, b: Tensor | None = None) -> Tens
     u = (xb @ f2.T).reshape(B, q * n, r)
     m = a.data.transpose(2, 0, 1).reshape(q * n, p)
     y = np.matmul(m.T, u).reshape(B, p * r)
+    x_grad = x.requires_grad
 
-    du_memo = []
-
-    def du(g):
-        # dU = M @ gy, shared by the x and f VJPs; the memo empties once g dies
-        if not du_memo or du_memo[0]() is not g:
-            du_memo[:] = [
-                weakref.ref(g, lambda _: du_memo.clear()),
-                np.matmul(m, g.reshape(B, p, r)).reshape(B * q, n * r),
-            ]
-        return du_memo[1]
-
-    def vjp_a(g):
+    def vjp(g):
+        gy = g.reshape(B, p, r)
+        # dU = M @ gy, shared by the x and f gradients
+        du = np.matmul(m, gy).reshape(B * q, n * r)
+        dx = (du @ f2).reshape(B, q * s) if x_grad else None
         # dM = sum_b U[b] @ gy[b]^T, then dA[i, p, q] = dM[(q, i), p]
-        dm = np.matmul(u, g.reshape(B, p, r).transpose(0, 2, 1)).sum(axis=0)
-        return dm.reshape(q, n, p).transpose(1, 2, 0)
+        dm = np.matmul(u, gy.transpose(0, 2, 1)).sum(axis=0)
+        da = dm.reshape(q, n, p).transpose(1, 2, 0)
+        df = (du.T @ xb).reshape(n, r, s)
+        return (dx, da, df) if b is None else (dx, da, df, g.sum(axis=0))
 
-    vjps = [
-        (x, lambda g: (du(g) @ f2).reshape(B, q * s)),
-        (a, vjp_a),
-        (f, lambda g: (du(g).T @ xb).reshape(n, r, s)),
-    ]
     if b is not None:
         y += b.data
-        vjps.append((b, lambda g: g.sum(axis=0)))
-    return _make_output(y, vjps)
+    return _make_output(y, (x, a, f) if b is None else (x, a, f, b), vjp)
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
@@ -417,10 +398,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
 
     wr = w.data.reshape(Cout, Cin * K)
     y = (wr @ im2col()).reshape(Cout, B, Lout)
-
-    def vjp_w(g):
-        # rebuilt here so that the tape keeps x, not columns K/stride times its size
-        return (g.reshape(Cout, B * Lout) @ im2col().T).reshape(w.data.shape)
+    x_grad = x.requires_grad
 
     def vjp_x(g):
         # dcols comes out as [Cin, K, B, Lout], so each tap scatters one strided slice
@@ -431,11 +409,15 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
             dxp[:, :, k : k + span : stride] += dcols[:, k]
         return dxp[:, :, padding : padding + L]
 
-    vjps = [(x, vjp_x), (w, vjp_w)]
+    def vjp(g):
+        dx = vjp_x(g) if x_grad else None  # its dcols is freed before im2col runs
+        # the columns are rebuilt so that the tape keeps x, not columns K/stride times its size
+        dw = (g.reshape(Cout, B * Lout) @ im2col().T).reshape(Cout, Cin, K)
+        return (dx, dw) if b is None else (dx, dw, g.sum(axis=(1, 2)))
+
     if b is not None:
         y += b.data[:, None, None]
-        vjps.append((b, lambda g: g.sum(axis=(1, 2))))
-    return _make_output(y, vjps)
+    return _make_output(y, (x, w) if b is None else (x, w, b), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -473,27 +455,24 @@ def batch_norm(
         raise RankError(f"batch_norm needs [B,C] or [C,B,L], got shape {x.data.shape}")
     if gamma.data.shape != (C,) or beta.data.shape != (C,):
         raise DimensionError(f"batch_norm affine shapes {gamma.data.shape}/{beta.data.shape} do not match C={C}")
+    xd, x_grad = x.data, x.requires_grad
 
     if not train:
         # eval mode is affine: fold the running statistics into one scale and shift
         inv = 1.0 / np.sqrt(running_var + eps)
         scale = (gamma.data * inv).reshape(shape_c)
         mean_c = running_mean.reshape(shape_c).copy()
-        y = x.data * scale
+        y = xd * scale
         y += beta.data.reshape(shape_c) - mean_c * scale
         return _make_output(
             y,
-            [
-                (x, lambda g: g * scale),
-                (gamma, lambda g: np.einsum(sub, g, x.data - mean_c) * inv),
-                (beta, lambda g: g.sum(axis=axes)),
-            ],
+            (x, gamma, beta),
+            lambda g: (g * scale if x_grad else None, np.einsum(sub, g, xd - mean_c) * inv, g.sum(axis=axes)),
         )
 
     if B < 2:
         raise DegenerateBatchError(f"batch_norm in train mode needs batch size >= 2, got {B}")
-    n = x.data.size // C
-    xd = x.data
+    n = xd.size // C
     mu_c = xd.mean(axis=axes).reshape(shape_c)
     y = xd - mu_c  # x - mu, then xhat, then y in the same buffer
     var = np.einsum(sub, y, y) / n
@@ -507,38 +486,23 @@ def batch_norm(
     y += beta.data.reshape(shape_c)
     scale = gamma.data.reshape(shape_c) * inv_c
 
-    def xhat():
-        # rebuilt from x in backward by the forward's operations, so it equals
-        # the forward's xhat bit for bit without being kept between the passes
+    def vjp(g):
+        # xhat is rebuilt from x by the forward's operations, so it equals the
+        # forward's xhat bit for bit without being kept between the passes
         xh = xd - mu_c
         xh *= inv_c
-        return xh
-
-    sums_memo = []
-
-    def sums(g, xh=None):
-        # (sum g, sum g*xhat) per channel, computed once per upstream array; g is
-        # held weakly so the memo does not keep it alive once backward drops it
-        if not sums_memo or sums_memo[0]() is not g:
-            if xh is None:
-                xh = xhat()
-            sums_memo[:] = [weakref.ref(g), g.sum(axis=axes), np.einsum(sub, g, xh)]
-        return sums_memo[1], sums_memo[2]
-
-    def vjp_x(g):
-        # dx = (g - xhat*mean(g*xhat) - mean(g)) * gamma * inv over the batch axes
-        dx = xhat()
-        sg, sgx = sums(g, dx)
+        sg, sgx = g.sum(axis=axes), np.einsum(sub, g, xh)
+        if not x_grad:
+            return None, sgx, sg
+        # dx = (g - xhat*mean(g*xhat) - mean(g)) * gamma * inv over the batch axes, in xhat's buffer
+        dx = xh
         dx *= (sgx / n).reshape(shape_c)
         np.subtract(g, dx, out=dx)
         dx -= (sg / n).reshape(shape_c)
         dx *= scale
-        return dx
+        return dx, sgx, sg
 
-    return _make_output(
-        y,
-        [(x, vjp_x), (gamma, lambda g: sums(g)[1]), (beta, lambda g: sums(g)[0])],
-    )
+    return _make_output(y, (x, gamma, beta), vjp)
 
 
 def dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
@@ -551,7 +515,7 @@ def dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator | None = 
         raise ValueError("dropout in train mode needs an explicit rng")
     keep = rng.random(x.data.shape) >= p
     factor = keep / (1.0 - p)
-    return _make_output(x.data * factor, [(x, lambda g: g * factor)])
+    return _make_output(x.data * factor, (x,), lambda g: (g * factor,))
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -579,9 +543,9 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     def vjp(g):
         d = sm.copy()
         d[np.arange(B), labels] -= 1.0
-        return d * (float(g) / B)
+        return (d * (float(g) / B),)
 
-    return _make_output(data, [(logits, vjp)])
+    return _make_output(data, (logits,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -601,19 +565,21 @@ def kron_sum(a: Tensor, f: Tensor) -> Tensor:
         raise RankError(f"kron_sum needs [n,p,q] and [n,r,s,*taps], got {a.data.shape} and {f.data.shape}")
     if a.data.shape[0] != f.data.shape[0]:
         raise DimensionError(f"kron_sum leading dims disagree: {a.data.shape} vs {f.data.shape}")
-    n, p, q = a.data.shape
-    r, s, *taps = f.data.shape[1:]
+    ad, f_shape = a.data, f.data.shape
+    n, p, q = ad.shape
+    r, s, *taps = f_shape[1:]
     f3 = f.data.reshape(n, r, -1)
     blocks = (p, r, q, f3.shape[2])
-    data = np.einsum("ipq,irs->prqs", a.data, f3, optimize=True).reshape(p * r, q * s, *taps)
+    data = np.einsum("ipq,irs->prqs", ad, f3, optimize=True).reshape(p * r, q * s, *taps)
 
-    def vjp_a(g):
-        return np.einsum("prqs,irs->ipq", g.reshape(blocks), f3, optimize=True)
+    def vjp(g):
+        gb = g.reshape(blocks)
+        return (
+            np.einsum("prqs,irs->ipq", gb, f3, optimize=True),
+            np.einsum("prqs,ipq->irs", gb, ad, optimize=True).reshape(f_shape),
+        )
 
-    def vjp_f(g):
-        return np.einsum("prqs,ipq->irs", g.reshape(blocks), a.data, optimize=True).reshape(f.data.shape)
-
-    return _make_output(data, [(a, vjp_a), (f, vjp_f)])
+    return _make_output(data, (a, f), vjp)
 
 
 def kron_sum_taps(a: Tensor, f: Tensor) -> Tensor:

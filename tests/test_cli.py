@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -368,6 +369,22 @@ def test_eval_truncated_checkpoint_is_data_error(tmp_path, raw_dir, trained_dir)
         bad = tmp_path / f"cut{cut}.h2ck"
         bad.write_bytes(blob[:cut])
         assert main(["eval", "--checkpoint", str(bad), "--data", str(raw_dir), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_eval_checkpoint_listing_a_tensor_twice_is_data_error(tmp_path, raw_dir, capsys):
+    model = H2Model(tiny_model_config(), seed=6)
+    blob = serialize_model(model)
+    # append a second eeg.conv1.A entry with other values and count it
+    count_at = 12 + struct.unpack_from("<I", blob, 8)[0]
+    count = struct.unpack_from("<I", blob, count_at)[0]
+    name, arr = model.named_parameters()[0]
+    assert name == "eeg.conv1.A"
+    entry = struct.pack(f"<I{len(name)}sI{arr.ndim}I", len(name), name.encode(), arr.ndim, *arr.shape)
+    entry += (arr.data + 1.0).astype("<f8").tobytes()
+    bad = tmp_path / "twice.h2ck"
+    bad.write_bytes(blob[:count_at] + struct.pack("<I", count + 1) + blob[count_at + 4 :] + entry)
+    assert main(["eval", "--checkpoint", str(bad), "--data", str(raw_dir), "--out", str(tmp_path / "o")]) == 2
+    assert "checkpoint lists tensor eeg.conv1.A twice" in capsys.readouterr().err
 
 
 def test_manifest_without_pre_trial_ms_is_data_error(tmp_path, raw_dir):

@@ -339,6 +339,20 @@ def test_malformed_manifest_or_payload_is_rejected_at_load(tmp_path, mutate, err
         load_dataset(root)
 
 
+@pytest.mark.parametrize("spelling", ["absolute", "parent"])
+def test_payload_file_outside_the_dataset_directory_is_rejected(tmp_path, spelling):
+    root = save_dataset(generate_synthetic(SyntheticSpec(num_subjects=1, trials_per_subject=3)), tmp_path / "ds")
+    manifest = json.loads((root / "manifest.json").read_text())
+    # a valid payload outside the directory, so only where it lies is wrong
+    elsewhere = tmp_path / "elsewhere.bin"
+    elsewhere.write_bytes((root / manifest["trials"][1]["file"]).read_bytes())
+    manifest["trials"][1]["file"] = str(elsewhere) if spelling == "absolute" else "../elsewhere.bin"
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match="s000t00001: payload file .*elsewhere.bin' lies outside"):
+        load_dataset(root)
+    assert main(["preprocess", "--data", str(root), "--out", str(tmp_path / "segs.npz")]) == 2
+
+
 def test_save_dataset_rejects_a_trial_with_another_pre_trial_ms(tmp_path):
     # the manifest holds one pre_trial_ms, so such a directory would not load back
     trials = generate_synthetic(SyntheticSpec(num_subjects=1, trials_per_subject=2)).trials

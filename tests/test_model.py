@@ -313,6 +313,21 @@ def test_train_step_keeps_one_copy_of_each_conv_stage_activation():
     assert peak < 140e6, f"{peak / 1e6:.0f} MB"
 
 
+def test_first_layer_of_each_encoder_computes_no_gradient_for_the_model_input():
+    """The model's input needs no gradient, so the first layer of a tiny phc
+    train step (conv1d for EEG, ECG and eye, phm_linear for GSR) gives None
+    for it and a gradient for each of its other inputs."""
+    model = H2Model(tiny_model_config(), seed=0)
+    with tape_scope() as tape:
+        model.forward(**random_batch(np.random.default_rng(0), batch=4), train=True, rng=np.random.default_rng(1))
+    on_data = [node for node in tape.nodes if not node.inputs[0].requires_grad]
+    assert sorted(node.vjp.__qualname__.split(".")[0] for node in on_data) == ["conv1d"] * 3 + ["phm_linear"]
+    for node in on_data:
+        grads = node.vjp(np.ones_like(node.out.data))
+        assert grads[0] is None
+        assert [g.shape for g in grads[1:]] == [t.shape for t in node.inputs[1:]]
+
+
 # ---------------------------------------------------------------------------
 # parameter counting
 # ---------------------------------------------------------------------------

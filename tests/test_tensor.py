@@ -5,9 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hyperx import tensor
 from hyperx.errors import DegenerateBatchError, DimensionError, LabelError, RankError
 from hyperx.tensor import (
     Tensor,
+    _make_output,
     add,
     backward,
     batch_norm,
@@ -18,6 +20,7 @@ from hyperx.tensor import (
     global_avg_pool,
     grad_check,
     kron_sum,
+    kron_sum_taps,
     linear,
     mul,
     no_grad,
@@ -518,8 +521,9 @@ def test_batch_norm_backward_twice_on_one_tape_adds_the_same_gradient(shape):
 
 @pytest.mark.parametrize("shape", [(64, 3), (16, 4, 300)])
 def test_batch_norm_affine_gradients_without_an_input_gradient(shape):
-    """x needs no gradient, so only gamma's and beta's VJPs run; they match the
-    hand-derived sums and keep no activation-sized array once backward returns."""
+    """x needs no gradient, so the VJP gives none for it; gamma's and beta's
+    match the hand-derived sums and no activation-sized array is kept once
+    backward returns."""
     rng = np.random.default_rng(20)
     x_data = rng.standard_normal(shape)
     x = Tensor(bn_layout(x_data))
@@ -531,7 +535,8 @@ def test_batch_norm_affine_gradients_without_an_input_gradient(shape):
     with tape_scope() as tape:
         y = batch_norm(x, gamma, beta, np.zeros(shape[1]), np.ones(shape[1]), train=True)
         loss = tensor_sum(mul(y, Tensor(bn_layout(g))))
-        assert [t for t, _ in tape.nodes[0].vjps] == [gamma, beta]
+        node = tape.nodes[0]
+        assert node.inputs == (x, gamma, beta) and node.vjp(bn_layout(g))[0] is None
         tracemalloc.start()
         try:
             backward(loss)
@@ -675,6 +680,96 @@ def test_backward_drops_each_gradient_once_its_node_has_used_it():
 
 
 # ---------------------------------------------------------------------------
+# the VJP contract: one gradient per input, in order
+# ---------------------------------------------------------------------------
+
+
+def _leaf(rng, *shape, grad=True):
+    return Tensor(rng.standard_normal(shape), requires_grad=grad)
+
+
+# One call of every op in tensor.__all__ on fresh leaves, as (id, call), where
+# the id is the op's name and an optional "-variant"; call(rng, x_grad) sets
+# whether the first input requires grad.
+OP_CALLS = [
+    ("add", lambda r, xg: add(_leaf(r, 4, 3, grad=xg), _leaf(r, 3))),
+    ("mul", lambda r, xg: mul(_leaf(r, 4, 3, grad=xg), _leaf(r, 4, 1))),
+    ("scale", lambda r, xg: scale(_leaf(r, 4, 3, grad=xg), 2.0)),
+    ("reshape", lambda r, xg: reshape(_leaf(r, 4, 3, grad=xg), (3, 4))),
+    ("concat", lambda r, xg: concat([_leaf(r, 2, 3, grad=xg), _leaf(r, 2, 1), _leaf(r, 2, 2)])),
+    ("relu", lambda r, xg: relu(_leaf(r, 4, 3, grad=xg))),
+    ("tensor_sum", lambda r, xg: tensor_sum(_leaf(r, 4, 3, grad=xg))),
+    ("global_avg_pool", lambda r, xg: global_avg_pool(_leaf(r, 3, 2, 5, grad=xg))),
+    ("conv1d", lambda r, xg: conv1d(_leaf(r, 2, 3, 9, grad=xg), _leaf(r, 4, 2, 3), stride=2, padding=1)),
+    ("conv1d-bias", lambda r, xg: conv1d(_leaf(r, 2, 3, 9, grad=xg), _leaf(r, 4, 2, 3), _leaf(r, 4))),
+    ("linear", lambda r, xg: linear(_leaf(r, 4, 3, grad=xg), _leaf(r, 5, 3))),
+    ("linear-bias", lambda r, xg: linear(_leaf(r, 4, 3, grad=xg), _leaf(r, 5, 3), _leaf(r, 5))),
+    ("phm_linear", lambda r, xg: phm_linear(_leaf(r, 4, 6, grad=xg), _leaf(r, 2, 2, 2), _leaf(r, 2, 3, 3))),
+    (
+        "phm_linear-bias",
+        lambda r, xg: phm_linear(_leaf(r, 4, 6, grad=xg), _leaf(r, 2, 2, 2), _leaf(r, 2, 3, 3), _leaf(r, 6)),
+    ),
+    (
+        "batch_norm-train",
+        lambda r, xg: batch_norm(_leaf(r, 3, 4, 5, grad=xg), _leaf(r, 3), _leaf(r, 3), np.zeros(3), np.ones(3), True),
+    ),
+    (
+        "batch_norm-eval",
+        lambda r, xg: batch_norm(_leaf(r, 4, 3, grad=xg), _leaf(r, 3), _leaf(r, 3), np.zeros(3), np.ones(3), False),
+    ),
+    ("dropout", lambda r, xg: dropout(_leaf(r, 4, 3, grad=xg), 0.5, True, r)),
+    ("softmax_cross_entropy", lambda r, xg: softmax_cross_entropy(_leaf(r, 4, 3, grad=xg), [0, 1, 2, 0])),
+    ("kron_sum", lambda r, xg: kron_sum(_leaf(r, 2, 2, 2, grad=xg), _leaf(r, 2, 3, 3))),
+    ("kron_sum_taps", lambda r, xg: kron_sum_taps(_leaf(r, 2, 2, 2, grad=xg), _leaf(r, 2, 3, 3, 4))),
+]
+NOT_OPS = {
+    "Tensor", "Tape", "active_tape", "tape_scope", "clear_tape", "no_grad", "backward", "zero_grads",
+    "BN_EPS", "grad_check", "GradCheckReport",
+}
+
+
+def _record(call, x_grad):
+    """The one node ``call`` records, and its VJP of an all-ones gradient."""
+    with tape_scope() as tape:
+        call(np.random.default_rng(21), x_grad)
+    assert len(tape.nodes) == 1
+    node = tape.nodes[0]
+    return node, node.vjp(np.ones_like(node.out.data))
+
+
+def test_every_exported_op_has_a_contract_case():
+    assert {case.split("-")[0] for case, _ in OP_CALLS} == set(tensor.__all__) - NOT_OPS
+
+
+@pytest.mark.parametrize("call", [call for _, call in OP_CALLS], ids=[case for case, _ in OP_CALLS])
+def test_every_op_gives_one_gradient_per_input(call):
+    node, grads = _record(call, x_grad=True)
+    assert len(grads) == len(node.inputs)
+    assert [g.shape for g in grads] == [t.shape for t in node.inputs]
+
+
+X_MAY_BE_DATA = [c for c in OP_CALLS if c[0].split("-")[0] in ("linear", "phm_linear", "conv1d", "batch_norm")]
+
+
+@pytest.mark.parametrize("call", [call for _, call in X_MAY_BE_DATA], ids=[case for case, _ in X_MAY_BE_DATA])
+def test_no_gradient_is_computed_for_an_input_that_needs_none(call):
+    node, grads = _record(call, x_grad=False)
+    assert not node.inputs[0].requires_grad
+    assert grads[0] is None
+    assert [g.shape for g in grads[1:]] == [t.shape for t in node.inputs[1:]]
+
+
+@pytest.mark.parametrize("grads", [(), (np.ones(2), np.ones(2))], ids=["too_few", "too_many"])
+def test_backward_rejects_a_vjp_with_the_wrong_number_of_gradients(grads):
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with tape_scope():
+        loss = tensor_sum(_make_output(x.data * 2.0, (x,), lambda g: grads))
+        with pytest.raises(ValueError, match=r"zip\(\) argument 2 is (shorter|longer) than argument 1"):
+            backward(loss)
+    assert x.grad is None
+
+
+# ---------------------------------------------------------------------------
 # gradient checking
 # ---------------------------------------------------------------------------
 
@@ -704,10 +799,8 @@ def test_grad_check_composite_graph():
 
 
 def test_grad_check_catches_wrong_gradient():
-    from hyperx.tensor import _make_output
-
     def bad_square(x):
-        return _make_output(x.data**2, [(x, lambda g: g * 3.0 * x.data)])
+        return _make_output(x.data**2, (x,), lambda g: (g * 3.0 * x.data,))
 
     x = Tensor([1.0, 2.0], requires_grad=True)
     report = grad_check(lambda t: tensor_sum(bad_square(t)), x, tol=1e-6)
@@ -720,10 +813,8 @@ def test_grad_check_reports_nan():
     def f(t):
         return _nan_op(t)
 
-    from hyperx.tensor import _make_output
-
     def _nan_op(t):
-        return _make_output(np.asarray(np.nan), [(t, lambda g: g * np.nan)])
+        return _make_output(np.asarray(np.nan), (t,), lambda g: (g * np.nan,))
 
     report = grad_check(f, x)
     assert report.nan_found and not report.passed
