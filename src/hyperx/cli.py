@@ -365,7 +365,7 @@ def _gradcheck_battery(layer, n, break_backward):
         module_check("bn3d", BatchNorm1d(5), (5, 4, 6), True)
     if layer in (None, "dropout"):
         xd = Tensor(rng.standard_normal((6, 8)), requires_grad=True)
-        run(lambda t: tensor_sum(dropout(t, 0.5, True, np.random.default_rng(123))), [("dropout", xd)])
+        run(lambda t: tensor_sum(dropout(t, 0.5, np.random.default_rng(123))), [("dropout", xd)])
     if layer in (None, "loss"):
         xl = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
         labels = rng.integers(0, 3, 5)

@@ -26,6 +26,7 @@ import math
 import warnings
 import zipfile
 import zlib
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -104,6 +105,9 @@ class RawTrial:
     pre_trial_ms: int = 1000
 
     def validate(self):
+        # the id names the payload file trials/<id>.bin, so it must be one plain file name
+        if self.trial_id in ("", ".", "..") or any(c in self.trial_id for c in "/\\\0"):
+            raise FormatError(f"trial id {self.trial_id!r} is not a plain file name")
         for name, channels, rate in RAW_MODALITIES:
             arr = getattr(self, name)
             want_len = _samples(rate, self.pre_trial_ms)
@@ -390,16 +394,26 @@ def augment_segments(segs: SegmentSet, rng: np.random.Generator) -> SegmentSet:
 # ---------------------------------------------------------------------------
 
 
+def _check_unique_ids(ids, where: str):
+    """A FormatError naming the first trial id that ``ids`` repeats."""
+    repeated = [trial_id for trial_id, count in Counter(ids).items() if count > 1]
+    if repeated:
+        raise FormatError(f"{where} lists trial id {repeated[0]!r} more than once")
+
+
 def save_dataset(ds: TrialDataset, path) -> Path:
-    """Write manifest.json + trials/<id>.bin under ``path``."""
+    """Write manifest.json + trials/<id>.bin under ``path``; nothing is
+    written unless every trial is valid and every id is unique."""
     bad = next((tr for tr in ds.trials if tr.pre_trial_ms != ds.pre_trial_ms), None)
     if bad is not None:
         raise FormatError(f"trial {bad.trial_id}: pre_trial_ms {bad.pre_trial_ms} != the manifest's {ds.pre_trial_ms}")
+    for tr in ds.trials:
+        tr.validate()
+    _check_unique_ids((tr.trial_id for tr in ds.trials), "dataset")
     root = Path(path)
     (root / "trials").mkdir(parents=True, exist_ok=True)
     trial_entries = []
     for tr in ds.trials:
-        tr.validate()
         blocks = [np.ascontiguousarray(getattr(tr, name), dtype="<f4").tobytes() for name, _, _ in RAW_MODALITIES]
         payload = b"".join(blocks)
         rel = f"trials/{tr.trial_id}.bin"
@@ -496,6 +510,7 @@ def load_dataset(path) -> TrialDataset:
         )
         tr.validate()
         trials.append(tr)
+    _check_unique_ids((tr.trial_id for tr in trials), "manifest")
     return TrialDataset(trials, pre_trial_ms=pre_ms, synthetic_spec=manifest.get("synthetic_spec"))
 
 
@@ -515,8 +530,8 @@ def save_segments(segs: SegmentSet, path, meta: dict | None = None):
 
 
 def load_segments(path) -> tuple[SegmentSet, dict]:
-    """Read a ``save_segments`` archive.  A missing array, arrays of unequal
-    length, a label outside ``CLASSES``, a signal that is not real numbers or has
+    """Read a ``save_segments`` archive.  A missing array, no segments, arrays of
+    unequal length, a label outside ``CLASSES``, a signal that is not real numbers or has
     the wrong segment shape, or a ``meta`` that is not JSON is a FormatError, and so
     is a file that is no readable .npz (empty, truncated, corrupt or a bare .npy);
     a non-finite signal is an IntegrityError."""
@@ -534,6 +549,8 @@ def load_segments(path) -> tuple[SegmentSet, dict]:
     except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
         raise FormatError(f"{where} 'meta' is not UTF-8 JSON: {e}") from e
     count = arrays["eeg"].shape[:1]
+    if count == (0,):
+        raise FormatError(f"segment archive {path} holds no segments")
     for name, arr in arrays.items():
         if arr.shape[:1] != count:
             raise FormatError(f"{where} {name!r} has shape {arr.shape}; its length disagrees with eeg's")

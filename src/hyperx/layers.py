@@ -9,6 +9,10 @@ multiplies its input by W without building it (``tensor.phm_linear``);
 ``PHCLayer`` builds W per kernel tap and convolves with it.  For n = 4 with
 A frozen to the quaternion structure constants the layer performs
 Hamilton-product multiplication.
+
+The layers choose the mode, so no op takes a mode flag: in train mode
+``BatchNorm1d`` and ``Dropout`` call the ops ``batch_norm`` and ``dropout``; in
+eval mode ``Dropout`` is the identity and ``BatchNorm1d`` one affine map.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
 from .tensor import (
     BN_EPS,
     Tensor,
@@ -194,19 +198,23 @@ class PHCLayer(_WeightLayer):
 
     def forward(self, x: Tensor, wb: tuple | None = None) -> Tensor:
         """conv1d(x, W, b), or conv1d with a (weight, bias) pair ``wb`` built
-        beforehand, such as ``weight_and_bias(bn)``'s."""
+        beforehand, such as ``bn.fold(*weight_and_bias())``'s."""
         w, b = wb or self.weight_and_bias()
         return conv1d(x, w, b, stride=self.stride, padding=self.padding)
 
-    def weight_and_bias(self, bn: BatchNorm1d | None = None) -> tuple:
-        """(W, b), with W built; given ``bn``, with eval-mode ``bn`` folded into
-        both, so that conv1d with them gives ``bn`` of this layer's output."""
-        w, b = self.w if self.weight is None else self.weight.build(), self.b
-        return (w, b) if bn is None else bn.fold(w, b)
+    def weight_and_bias(self) -> tuple:
+        """(W, b), with W built."""
+        return self.w if self.weight is None else self.weight.build(), self.b
 
 
 class BatchNorm1d(_Module):
-    """Batch normalization over the channel axis with running statistics."""
+    """Batch normalization over the channel axis with running statistics.
+
+    Train mode is the op ``batch_norm``.  Eval mode is one per-channel affine
+    map, beta + (t - running_mean)*s with s = gamma/sqrt(running_var + eps),
+    built from tape ops: ``forward`` applies it to a stage's output and
+    ``fold`` to a conv stage's weight and bias.
+    """
 
     def __init__(self, channels: int):
         self.channels = channels
@@ -216,22 +224,28 @@ class BatchNorm1d(_Module):
         self.running_var = np.ones(channels)
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
-        return batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var, train)
+        if train:
+            return batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var)
+        if x.ndim not in (2, 3) or x.shape[1 if x.ndim == 2 else 0] != self.channels:
+            raise DimensionError(f"BatchNorm1d({self.channels}) needs [B, C] or [C, B, L], got shape {x.shape}")
+        return self._affine(x, self._scale())
 
     def fold(self, w: Tensor, b: Tensor | None) -> tuple[Tensor, Tensor]:
-        """Weight and bias of a layer (w [C, ...], b [C]) followed by this BN in eval mode.
-
-        Eval BN is the per-channel affine map s*(y - running_mean) + beta with
-        s = gamma/sqrt(running_var + eps), so w' = w*s per output channel and
-        b' = beta + (b - running_mean)*s (Jacob et al., CVPR 2018).  Built
-        from tape ops: w, b, gamma and beta keep their eval-mode gradients.
-        """
-        s = mul(self.gamma, Tensor(1.0 / np.sqrt(self.running_var + BN_EPS)))
+        """Weight and bias of a layer (w [C, ...], b [C]) followed by this BN in
+        eval mode: w*s per output channel and the eval affine of b (Jacob et
+        al., CVPR 2018)."""
+        s = self._scale()
         w = mul(w, reshape(s, (self.channels,) + (1,) * (w.ndim - 1)))
-        shift = Tensor(-self.running_mean)
-        if b is not None:
-            shift = add(b, shift)
-        return w, add(self.beta, mul(shift, s))
+        return w, self._affine(Tensor(np.zeros(self.channels)) if b is None else b, s)
+
+    def _scale(self) -> Tensor:
+        return mul(self.gamma, Tensor(1.0 / np.sqrt(self.running_var + BN_EPS)))
+
+    def _affine(self, t: Tensor, s: Tensor) -> Tensor:
+        """beta + (t - running_mean)*s per channel of t: [C], [B, C] or [C, B, L]."""
+        c = (self.channels, 1, 1) if t.ndim == 3 else (self.channels,)
+        shift = add(t, Tensor(-self.running_mean.reshape(c)))
+        return add(reshape(self.beta, c), mul(shift, reshape(s, c)))
 
     def params(self):
         return [("gamma", self.gamma), ("beta", self.beta)]
@@ -245,6 +259,6 @@ class Dropout:
         self.p = p
 
     def forward(self, x: Tensor, train: bool, rng=None) -> Tensor:
-        return dropout(x, self.p, train, rng)
+        return dropout(x, self.p, rng) if train else x
 
     __call__ = forward

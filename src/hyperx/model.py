@@ -22,12 +22,12 @@ hypercomplex layer of an encoder uses the first one's A tensor.  Conv stages
 run channel-major, [C, B, L], so each conv op is one GEMM over the batch: the
 encoder transposes its [B, C, L] input once and pooling returns [B, C].
 
-In eval mode BN is a fixed per-channel affine map, so a conv stage folds it
-into the convolution's weight and bias (``BatchNorm1d.fold``) and runs as one
-conv1d then ReLU, with no batch-norm pass.  No stage then couples two segments,
-so each weight is built and folded once per forward and the stages run
-``EVAL_CHUNK`` segments at a time: no conv intermediate is batch-sized.  Flat
-stages keep eval-mode ``batch_norm``, which is already one scale and shift.
+In eval mode BN is ``BatchNorm1d``'s one fixed per-channel affine map: a flat
+stage applies it to the layer's output, and a conv stage folds it into the
+convolution's weight and bias (``BatchNorm1d.fold``) and runs as one conv1d
+then ReLU, with no batch-norm pass.  No stage then couples two segments, so
+each weight is built and folded once per forward and the conv stages run
+``EVAL_CHUNK`` segments at a time: no conv intermediate is batch-sized.
 
 Checkpoint container: magic ``H2CK``, u32 version, u32 length + canonical
 JSON config block, u32 tensor count, then per tensor: u32 name length,
@@ -184,7 +184,7 @@ class _Encoder:
     def forward(self, x: Tensor, train: bool) -> Tensor:
         # conv stages run channel-major; x is model input, so it needs no gradient
         if self.conv and not train:
-            wbs = [layer.weight_and_bias(bn) for layer, bn in self.stages]
+            wbs = [bn.fold(*layer.weight_and_bias()) for layer, bn in self.stages]
             pooled = []
             for start in range(0, x.shape[0] or 1, EVAL_CHUNK):  # an empty batch is one empty chunk
                 h = Tensor(x.data[start : start + EVAL_CHUNK].transpose(1, 0, 2))

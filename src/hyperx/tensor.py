@@ -20,11 +20,14 @@ cross-correlation, Kronecker-sum weight construction (one contraction,
 batch norm, dropout, pooling, concatenation and softmax cross-entropy.
 ``conv1d``, the 3-D ``batch_norm`` and ``global_avg_pool`` take sequences
 channel-major, [C, B, L], so each conv op is one GEMM over the whole batch.
+``batch_norm`` and ``dropout`` are train-time ops and take no mode flag: in
+eval mode ``layers.Dropout`` is the identity and ``layers.BatchNorm1d`` applies
+its one per-channel affine map, built from ``mul`` and ``add``.
 
 A VJP keeps only the arrays its formula reads, and rebuilds the rest in
 backward: ``conv1d`` keeps its input (its im2col columns are rebuilt),
-train-mode ``batch_norm`` its input and the per-channel mean and 1/sigma
-(x-hat is rebuilt), and ``relu`` its output.  An op's input array must
+``batch_norm`` its input and the per-channel mean and 1/sigma (x-hat is
+rebuilt), and ``relu`` its output.  An op's input array must
 therefore not be written between the forward and the backward; ``linear``
 relies on this as well.  ``linear``, ``phm_linear``, ``conv1d`` and
 ``batch_norm`` compute the gradient of x only if x requires grad, since x
@@ -424,25 +427,17 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
 # Normalization / regularization / loss
 # ---------------------------------------------------------------------------
 
-BN_EPS = 1e-5  # batch norm's variance floor, also used where eval BN is folded into a conv
+BN_EPS = 1e-5  # batch norm's variance floor, in train mode and in BatchNorm1d's eval affine
+_BN_MOMENTUM = 0.1  # weight of each batch's statistics in the running ones
 
 
-def batch_norm(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    train: bool,
-    momentum: float = 0.1,
-    eps: float = BN_EPS,
-) -> Tensor:
-    """Batch normalization per channel of [B, C], over B, or of channel-major
-    [C, B, L], over the trailing contiguous (B, L).
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray, running_var: np.ndarray) -> Tensor:
+    """Train-mode batch normalization per channel of [B, C], over B, or of
+    channel-major [C, B, L], over the trailing contiguous (B, L).
 
-    Train mode normalizes with the batch's population statistics and updates
-    the running buffers in place (running = (1-momentum)*running +
-    momentum*batch).  Eval mode uses the running statistics.
+    Normalizes with the batch's population statistics and updates the running
+    buffers in place (running = 0.9*running + 0.1*batch).  Eval-mode batch norm
+    is not an op: it is ``layers.BatchNorm1d``'s per-channel affine map.
     """
     nd = x.data.ndim
     if nd == 2:
@@ -455,32 +450,18 @@ def batch_norm(
         raise RankError(f"batch_norm needs [B,C] or [C,B,L], got shape {x.data.shape}")
     if gamma.data.shape != (C,) or beta.data.shape != (C,):
         raise DimensionError(f"batch_norm affine shapes {gamma.data.shape}/{beta.data.shape} do not match C={C}")
-    xd, x_grad = x.data, x.requires_grad
-
-    if not train:
-        # eval mode is affine: fold the running statistics into one scale and shift
-        inv = 1.0 / np.sqrt(running_var + eps)
-        scale = (gamma.data * inv).reshape(shape_c)
-        mean_c = running_mean.reshape(shape_c).copy()
-        y = xd * scale
-        y += beta.data.reshape(shape_c) - mean_c * scale
-        return _make_output(
-            y,
-            (x, gamma, beta),
-            lambda g: (g * scale if x_grad else None, np.einsum(sub, g, xd - mean_c) * inv, g.sum(axis=axes)),
-        )
-
     if B < 2:
         raise DegenerateBatchError(f"batch_norm in train mode needs batch size >= 2, got {B}")
+    xd, x_grad = x.data, x.requires_grad
     n = xd.size // C
     mu_c = xd.mean(axis=axes).reshape(shape_c)
     y = xd - mu_c  # x - mu, then xhat, then y in the same buffer
     var = np.einsum(sub, y, y) / n
-    running_mean *= 1.0 - momentum
-    running_mean += momentum * mu_c.reshape(C)
-    running_var *= 1.0 - momentum
-    running_var += momentum * var
-    inv_c = (1.0 / np.sqrt(var + eps)).reshape(shape_c)
+    running_mean *= 1.0 - _BN_MOMENTUM
+    running_mean += _BN_MOMENTUM * mu_c.reshape(C)
+    running_var *= 1.0 - _BN_MOMENTUM
+    running_var += _BN_MOMENTUM * var
+    inv_c = (1.0 / np.sqrt(var + BN_EPS)).reshape(shape_c)
     y *= inv_c
     y *= gamma.data.reshape(shape_c)
     y += beta.data.reshape(shape_c)
@@ -505,14 +486,15 @@ def batch_norm(
     return _make_output(y, (x, gamma, beta), vjp)
 
 
-def dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout; exact identity in eval mode or at p == 0."""
+def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
+    """Train-mode inverted dropout; exact identity at p == 0.  In eval mode
+    ``layers.Dropout`` returns its input without calling this op."""
     if not 0.0 <= p < 1.0:
         raise DimensionError(f"dropout probability must be in [0, 1), got {p}")
-    if not train or p == 0.0:
+    if p == 0.0:
         return x
     if rng is None:
-        raise ValueError("dropout in train mode needs an explicit rng")
+        raise ValueError("dropout needs an explicit rng")
     keep = rng.random(x.data.shape) >= p
     factor = keep / (1.0 - p)
     return _make_output(x.data * factor, (x,), lambda g: (g * factor,))

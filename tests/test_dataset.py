@@ -362,6 +362,55 @@ def test_save_dataset_rejects_a_trial_with_another_pre_trial_ms(tmp_path):
     assert not (tmp_path / "ds").exists()
 
 
+TWO_TRIALS = SyntheticSpec(num_subjects=1, trials_per_subject=2)
+
+
+def _manifest_with_trial_id(root, trial, trial_id):
+    """Rewrite the manifest of ``root`` so that trial number ``trial`` has id ``trial_id``."""
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["trials"][trial]["id"] = trial_id
+    (root / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("trial_id", ["", ".", "..", "../../escaped", "a/b", "a\\b", "a\0b"])
+def test_trial_id_that_is_not_a_plain_file_name_is_rejected(tmp_path, trial_id):
+    ds = generate_synthetic(TWO_TRIALS)
+    ds.trials[0].trial_id = trial_id
+    with pytest.raises(FormatError, match="is not a plain file name"):
+        save_dataset(ds, tmp_path / "out" / "ds")
+    # nothing was written, inside the dataset directory or next to it
+    assert not (tmp_path / "out").exists()
+    root = save_dataset(generate_synthetic(TWO_TRIALS), tmp_path / "ds")
+    _manifest_with_trial_id(root, 0, trial_id)
+    with pytest.raises(FormatError, match="is not a plain file name"):
+        load_dataset(root)
+    assert main(["preprocess", "--data", str(root), "--out", str(tmp_path / "segs.npz")]) == 2
+
+
+def test_repeated_trial_id_is_rejected(tmp_path, capsys):
+    ds = generate_synthetic(TWO_TRIALS)
+    ds.trials[1].trial_id = ds.trials[0].trial_id
+    # saved, the second payload would overwrite the first under one file name
+    with pytest.raises(FormatError, match="dataset lists trial id 's000t00000' more than once"):
+        save_dataset(ds, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    root = save_dataset(generate_synthetic(TWO_TRIALS), tmp_path / "ds")
+    _manifest_with_trial_id(root, 1, "s000t00000")
+    with pytest.raises(FormatError, match="manifest lists trial id 's000t00000' more than once"):
+        load_dataset(root)
+    assert main(["preprocess", "--data", str(root), "--out", str(tmp_path / "segs.npz")]) == 2
+    assert "manifest lists trial id 's000t00000' more than once" in capsys.readouterr().err
+
+
+def test_segment_archive_with_no_segments_is_data_error(tmp_path, tiny_segments, capsys):
+    path = tmp_path / "empty.npz"
+    save_segments(tiny_segments.take([]), path)
+    with pytest.raises(FormatError, match="holds no segments"):
+        load_segments(path)
+    assert main(["train", "--data", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"segment archive {path} holds no segments" in capsys.readouterr().err
+
+
 def _shorter_arousal(arrays):
     arrays["arousal"] = arrays["arousal"][:-1]
 

@@ -385,3 +385,10 @@ def test_batchnorm1d_layer_param_count():
     bn = BatchNorm1d(7)
     assert bn.param_count() == 14
     assert [n for n, _ in bn.buffers()] == ["running_mean", "running_var"]
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (7, 4, 3), (3,), (3, 2, 4, 3)])
+def test_batchnorm1d_eval_rejects_another_channel_count_or_rank(shape):
+    # (7, 4, 3) would broadcast over its last axis if the channel axis went unchecked
+    with pytest.raises(DimensionError, match=r"BatchNorm1d\(3\) needs \[B, C\] or \[C, B, L\]"):
+        BatchNorm1d(3)(Tensor(np.zeros(shape)), train=False)

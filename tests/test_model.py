@@ -20,12 +20,14 @@ from hyperx.model import (
     serialize_model,
 )
 from hyperx.tensor import (
+    BN_EPS,
     Tensor,
+    add,
     backward,
-    batch_norm,
     clear_tape,
     global_avg_pool,
     linear,
+    mul,
     no_grad,
     relu,
     reshape,
@@ -198,15 +200,23 @@ def test_hypercomplex_phm_layers_never_build_their_weight(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# eval mode: batch norm folded into each conv stage
+# eval mode: BatchNorm1d's affine, folded into each conv stage
 # ---------------------------------------------------------------------------
 
 
+def _textbook_eval_bn(bn, h):
+    """gamma*(h - mu)/sigma + beta per channel of [B, C] or [C, B, L], from tape ops."""
+    c = (1, bn.channels) if h.ndim == 2 else (bn.channels, 1, 1)
+    centred = add(h, Tensor(-bn.running_mean.reshape(c)))
+    normed = mul(centred, Tensor(1.0 / np.sqrt(bn.running_var + BN_EPS).reshape(c)))
+    return add(mul(reshape(bn.gamma, c), normed), reshape(bn.beta, c))
+
+
 def _unfolded_encoder_forward(self, x, train):
-    """Oracle: every stage is layer -> batch_norm(train=False) -> relu."""
+    """Oracle: every stage is layer -> textbook eval batch norm -> relu."""
     h = Tensor(x.data.transpose(1, 0, 2)) if self.conv else reshape(x, (x.shape[0], self.d_flat))
     for layer, bn in self.stages:
-        h = relu(batch_norm(layer(h), bn.gamma, bn.beta, bn.running_mean, bn.running_var, train=False))
+        h = relu(_textbook_eval_bn(bn, layer(h)))
     return global_avg_pool(h) if self.conv else h
 
 
@@ -234,9 +244,11 @@ def _eval_logits_and_grads(model, batch):
 
 
 @settings(max_examples=6, deadline=None)
-@given(variant=st.sampled_from(["phc", "conv"]), seed=st.integers(0, 2**16), batch=st.integers(1, 3))
+@given(variant=st.sampled_from(VARIANTS), seed=st.integers(0, 2**16), batch=st.integers(1, 3))
 @example(variant="phc", seed=5, batch=EVAL_CHUNK + 1)  # two eval chunks, the last one partial
 @example(variant="conv", seed=6, batch=EVAL_CHUNK + 1)
+@example(variant="phm", seed=7, batch=3)  # flat stages: BatchNorm1d's eval affine after the layer
+@example(variant="linear", seed=8, batch=3)
 def test_folded_eval_logits_match_the_unfolded_oracle(variant, seed, batch):
     model = _randomized_model(variant, seed)
     inputs = random_batch(np.random.default_rng(seed + 1), batch=batch)
@@ -251,7 +263,7 @@ def test_folded_eval_logits_match_the_unfolded_oracle(variant, seed, batch):
     np.testing.assert_array_equal(got.argmax(axis=1), want.argmax(axis=1))
 
 
-@pytest.mark.parametrize("variant", ["phc", "conv"])
+@pytest.mark.parametrize("variant", ["phc", "conv", "phm", "linear"])
 def test_folded_eval_gradients_match_the_unfolded_oracle(variant):
     model = _randomized_model(variant, seed=11)
     # one eval chunk, then two whose gradients meet on each folded weight

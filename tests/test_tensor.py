@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hyperx import tensor
 from hyperx.errors import DegenerateBatchError, DimensionError, LabelError, RankError
+from hyperx.layers import BatchNorm1d, Dropout
 from hyperx.tensor import (
     Tensor,
     _make_output,
@@ -381,9 +382,16 @@ def test_batch_norm_standardizes_over_batch_and_length():
     rng = np.random.default_rng(4)
     x = Tensor(swap_bc(5.0 + 3.0 * rng.standard_normal((8, 4, 16))))
     gamma, beta, rm, rv = _bn_parts(4)
-    y = swap_bc(batch_norm(x, gamma, beta, rm, rv, train=True).data)
+    y = swap_bc(batch_norm(x, gamma, beta, rm, rv).data)
     np.testing.assert_allclose(y.mean(axis=(0, 2)), 0.0, atol=1e-6)
     np.testing.assert_allclose(y.var(axis=(0, 2)), 1.0, atol=1e-4)
+
+
+def _batch_norm_1d(gamma, beta, rm, rv):
+    """A BatchNorm1d holding the given affine parameters and running statistics."""
+    bn = BatchNorm1d(len(rm))
+    bn.gamma, bn.beta, bn.running_mean, bn.running_var = gamma, beta, rm, rv
+    return bn
 
 
 def test_batch_norm_eval_uses_running_stats():
@@ -391,7 +399,7 @@ def test_batch_norm_eval_uses_running_stats():
     rm[:] = [1.0, -1.0]
     rv[:] = [4.0, 0.25]
     x = Tensor([[3.0, 0.0], [1.0, -1.0]])
-    y = batch_norm(x, gamma, beta, rm, rv, train=False).data
+    y = _batch_norm_1d(gamma, beta, rm, rv)(x, train=False).data
     np.testing.assert_allclose(y, [[1.0, 2.0], [0.0, 0.0]], atol=1e-4)
 
 
@@ -399,7 +407,7 @@ def test_batch_norm_updates_running_stats():
     rng = np.random.default_rng(5)
     x = Tensor(rng.standard_normal((16, 3)) * 2.0 + 7.0)
     gamma, beta, rm, rv = _bn_parts(3)
-    batch_norm(x, gamma, beta, rm, rv, train=True, momentum=0.1)
+    batch_norm(x, gamma, beta, rm, rv)
     np.testing.assert_allclose(rm, 0.1 * x.data.mean(axis=0), atol=1e-12)
     np.testing.assert_allclose(rv, 0.9 * 1.0 + 0.1 * x.data.var(axis=0), atol=1e-12)
 
@@ -429,11 +437,11 @@ def test_batch_norm_train_matches_numpy_reference(shape):
     gamma, beta = rng.standard_normal(shape[1]), rng.standard_normal(shape[1])
     rm, rv = rng.standard_normal(shape[1]), 1.0 + rng.random(shape[1])
     rm0, rv0 = rm.copy(), rv.copy()
-    y = bn_layout(batch_norm(Tensor(bn_layout(x)), Tensor(gamma), Tensor(beta), rm, rv, train=True, momentum=0.2).data)
+    y = bn_layout(batch_norm(Tensor(bn_layout(x)), Tensor(gamma), Tensor(beta), rm, rv).data)
     want, mu, var = _bn_reference(x, gamma, beta)
     np.testing.assert_allclose(y, want, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(rm, 0.8 * rm0 + 0.2 * mu, rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(rv, 0.8 * rv0 + 0.2 * var, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(rm, 0.9 * rm0 + 0.1 * mu, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(rv, 0.9 * rv0 + 0.1 * var, rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("shape", BN_SHAPES)
@@ -443,7 +451,8 @@ def test_batch_norm_eval_matches_numpy_reference(shape):
     gamma, beta = rng.standard_normal(shape[1]), rng.standard_normal(shape[1])
     rm, rv = rng.standard_normal(shape[1]), 1.0 + rng.random(shape[1])
     shape_c = (1, -1) if len(shape) == 2 else (1, -1, 1)
-    y = bn_layout(batch_norm(Tensor(bn_layout(x)), Tensor(gamma), Tensor(beta), rm.copy(), rv.copy(), train=False).data)
+    bn = _batch_norm_1d(Tensor(gamma), Tensor(beta), rm.copy(), rv.copy())
+    y = bn_layout(bn(Tensor(bn_layout(x)), train=False).data)
     want = (x - rm.reshape(shape_c)) / np.sqrt(rv.reshape(shape_c) + 1e-5) * gamma.reshape(shape_c)
     np.testing.assert_allclose(y, want + beta.reshape(shape_c), rtol=1e-12, atol=1e-12)
 
@@ -452,16 +461,17 @@ def test_batch_norm_eval_matches_numpy_reference(shape):
 @pytest.mark.parametrize("shape", BN_SHAPES)
 def test_batch_norm_grad_check_with_one_upstream_for_all_inputs(shape, train):
     # x, gamma and beta all require grad, so every backward hands the same
-    # upstream array to the three VJPs
+    # upstream array to the three VJPs of the train op, and to the eval affine
     rng = np.random.default_rng(14)
     x = Tensor(bn_layout(rng.standard_normal(shape)), requires_grad=True)
     gamma = Tensor(1.0 + rng.standard_normal(shape[1]), requires_grad=True)
     beta = Tensor(rng.standard_normal(shape[1]), requires_grad=True)
     rm, rv = rng.standard_normal(shape[1]), 1.0 + rng.random(shape[1])
     g = Tensor(bn_layout(rng.standard_normal(shape)))
+    bn = _batch_norm_1d(gamma, beta, rm, rv)
 
     def f(_t):
-        return tensor_sum(mul(batch_norm(x, gamma, beta, rm, rv, train=train), g))
+        return tensor_sum(mul(bn(x, train), g))
 
     for target in (x, gamma, beta):
         report = grad_check(f, target, tol=1e-6, max_probes=64)
@@ -481,7 +491,7 @@ def test_batch_norm_second_backward_does_not_reuse_first_upstream(shape):
         rm, rv = np.zeros(shape[1]), np.ones(shape[1])
         out = []
         with tape_scope():
-            y = batch_norm(x, gamma, beta, rm, rv, train=True)
+            y = batch_norm(x, gamma, beta, rm, rv)
             for g in upstreams:
                 zero_grads([x, gamma, beta])
                 backward(tensor_sum(mul(y, Tensor(bn_layout(g)))))
@@ -511,7 +521,7 @@ def test_batch_norm_backward_twice_on_one_tape_adds_the_same_gradient(shape):
     gamma_c = gamma.data.reshape((1, -1) if len(shape) == 2 else (1, -1, 1))
     want = (gamma_c / sigma * (g - mean(g) - xhat * mean(g * xhat)), (g * xhat).sum(axis=axes), g.sum(axis=axes))
     with tape_scope():
-        y = batch_norm(x, gamma, beta, np.zeros(shape[1]), np.ones(shape[1]), train=True)
+        y = batch_norm(x, gamma, beta, np.zeros(shape[1]), np.ones(shape[1]))
         loss = tensor_sum(mul(y, Tensor(bn_layout(g))))
         for passes in (1, 2):
             backward(loss)
@@ -533,7 +543,7 @@ def test_batch_norm_affine_gradients_without_an_input_gradient(shape):
     axes = (0,) if len(shape) == 2 else (0, 2)
     xhat = (x_data - x_data.mean(axis=axes, keepdims=True)) / np.sqrt(x_data.var(axis=axes, keepdims=True) + 1e-5)
     with tape_scope() as tape:
-        y = batch_norm(x, gamma, beta, np.zeros(shape[1]), np.ones(shape[1]), train=True)
+        y = batch_norm(x, gamma, beta, np.zeros(shape[1]), np.ones(shape[1]))
         loss = tensor_sum(mul(y, Tensor(bn_layout(g))))
         node = tape.nodes[0]
         assert node.inputs == (x, gamma, beta) and node.vjp(bn_layout(g))[0] is None
@@ -552,7 +562,7 @@ def test_batch_norm_affine_gradients_without_an_input_gradient(shape):
 def test_batch_norm_degenerate_batch():
     gamma, beta, rm, rv = _bn_parts(3)
     with pytest.raises(DegenerateBatchError):
-        batch_norm(Tensor(np.zeros((1, 3))), gamma, beta, rm, rv, train=True)
+        batch_norm(Tensor(np.zeros((1, 3))), gamma, beta, rm, rv)
 
 
 def test_batch_norm_reads_the_batch_size_of_channel_major_input_from_axis_1():
@@ -560,10 +570,10 @@ def test_batch_norm_reads_the_batch_size_of_channel_major_input_from_axis_1():
     gamma, beta, rm, rv = _bn_parts(3)
     # [C=3, B=1, L=5]: one segment per channel is a degenerate batch however long L is
     with pytest.raises(DegenerateBatchError, match="got 1"):
-        batch_norm(Tensor(rng.standard_normal((3, 1, 5))), gamma, beta, rm, rv, train=True)
+        batch_norm(Tensor(rng.standard_normal((3, 1, 5))), gamma, beta, rm, rv)
     # [C=1, B=5, L=4]: a single channel over a batch of five normalizes
     gamma, beta, rm, rv = _bn_parts(1)
-    y = batch_norm(Tensor(rng.standard_normal((1, 5, 4))), gamma, beta, rm, rv, train=True).data
+    y = batch_norm(Tensor(rng.standard_normal((1, 5, 4))), gamma, beta, rm, rv).data
     assert y.shape == (1, 5, 4)
     np.testing.assert_allclose(y.mean(), 0.0, atol=1e-12)
 
@@ -575,14 +585,14 @@ def test_batch_norm_reads_the_batch_size_of_channel_major_input_from_axis_1():
 
 def test_dropout_eval_is_exact_identity():
     x = Tensor(np.arange(12.0).reshape(3, 4))
-    y = dropout(x, 0.5, train=False)
+    y = Dropout(0.5)(x, train=False)
     assert y is x
 
 
 def test_dropout_fixed_seed_is_deterministic():
     x = Tensor(np.ones((5, 5)))
-    a = dropout(x, 0.5, train=True, rng=np.random.default_rng(9)).data
-    b = dropout(x, 0.5, train=True, rng=np.random.default_rng(9)).data
+    a = dropout(x, 0.5, np.random.default_rng(9)).data
+    b = dropout(x, 0.5, np.random.default_rng(9)).data
     np.testing.assert_array_equal(a, b)
     kept = a[a != 0]
     np.testing.assert_allclose(kept, 2.0)
@@ -711,13 +721,9 @@ OP_CALLS = [
     ),
     (
         "batch_norm-train",
-        lambda r, xg: batch_norm(_leaf(r, 3, 4, 5, grad=xg), _leaf(r, 3), _leaf(r, 3), np.zeros(3), np.ones(3), True),
+        lambda r, xg: batch_norm(_leaf(r, 3, 4, 5, grad=xg), _leaf(r, 3), _leaf(r, 3), np.zeros(3), np.ones(3)),
     ),
-    (
-        "batch_norm-eval",
-        lambda r, xg: batch_norm(_leaf(r, 4, 3, grad=xg), _leaf(r, 3), _leaf(r, 3), np.zeros(3), np.ones(3), False),
-    ),
-    ("dropout", lambda r, xg: dropout(_leaf(r, 4, 3, grad=xg), 0.5, True, r)),
+    ("dropout", lambda r, xg: dropout(_leaf(r, 4, 3, grad=xg), 0.5, r)),
     ("softmax_cross_entropy", lambda r, xg: softmax_cross_entropy(_leaf(r, 4, 3, grad=xg), [0, 1, 2, 0])),
     ("kron_sum", lambda r, xg: kron_sum(_leaf(r, 2, 2, 2, grad=xg), _leaf(r, 2, 3, 3))),
     ("kron_sum_taps", lambda r, xg: kron_sum_taps(_leaf(r, 2, 2, 2, grad=xg), _leaf(r, 2, 3, 3, 4))),
