@@ -36,9 +36,9 @@ from .tensor import (
     add,
     dropout,
     grad_check,
+    mul,
     no_grad,
     relu,
-    scale,
     softmax_cross_entropy,
     tensor_sum,
 )
@@ -307,7 +307,7 @@ FULL_TOL, FULL_PROBES = 1e-4, 6
 def _broken_relu(x: Tensor) -> Tensor:
     """relu whose backward is 1.01 times too large (harness self-test)."""
     y = relu(x)
-    return add(scale(y, 1.01), Tensor(-0.01 * y.data))
+    return add(mul(y, Tensor(1.01)), Tensor(-0.01 * y.data))
 
 
 def _quaternion_oracle_check(n_pairs: int = 200, tol: float = 1e-12) -> tuple[str, bool, float]:

@@ -477,6 +477,8 @@ def load_dataset(path) -> TrialDataset:
     if names != sorted(n for n, _, _ in RAW_MODALITIES):
         raise FormatError(f"manifest lists modalities {names}; want each of eeg, ecg, gsr, eye once")
     pre_ms = manifest["pre_trial_ms"]
+    if pre_ms < 0:
+        raise FormatError(f"manifest pre_trial_ms must be >= 0, got {pre_ms}")
     trials = []
     for i, entry in enumerate(manifest["trials"]):
         _checked(entry, _TRIAL_KEYS, f"manifest trial {i}")

@@ -46,4 +46,4 @@ class StratificationError(HyperxError, ValueError):
 
 
 class GradientError(HyperxError, RuntimeError):
-    """Non-finite gradient encountered during optimization."""
+    """Non-finite loss or gradient encountered during optimization."""

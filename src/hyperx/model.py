@@ -380,7 +380,12 @@ def deserialize_model(data: bytes) -> tuple[H2Model, dict]:
         rank = r.u32(f"rank of {name}")
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank, f"dims of {name}"))
         data_bytes = r.take(8 * math.prod(dims), f"data of {name}")
-        tensors[name] = np.frombuffer(data_bytes, dtype="<f8").reshape(dims)
+        arr = np.frombuffer(data_bytes, dtype="<f8").reshape(dims)
+        if not np.isfinite(arr).all():
+            raise FormatError(f"tensor {name} holds a non-finite value")
+        if name.endswith(".running_var") and (arr < 0).any():
+            raise FormatError(f"tensor {name} holds a negative variance")
+        tensors[name] = arr
 
     for name, arr in _entries(model):
         if name not in tensors:

@@ -61,7 +61,6 @@ __all__ = [
     "zero_grads",
     "add",
     "mul",
-    "scale",
     "reshape",
     "concat",
     "relu",
@@ -257,11 +256,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make_output(
         data, (a, b), lambda g: (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape))
     )
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-    return _make_output(a.data * s, (a,), lambda g: (g * s,))
 
 
 def reshape(a: Tensor, shape) -> Tensor:

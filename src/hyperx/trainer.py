@@ -6,11 +6,14 @@ final_div_factor); Adam's beta1 moves inversely between momentum_max and
 momentum_min.  pct_start defaults to 0.475 so that both linear slopes stay
 below 2 * max_lr / total_steps; the warm-up fraction is configurable.
 
-Training evaluates the held-out split each epoch, keeps the checkpoint
-with the best macro-F1 and stops once that score has not improved for
-``patience`` consecutive epochs.  Everything is deterministic for a fixed
-seed: shuffling, augmentation and dropout draw from generators derived
-from it.
+Training evaluates the held-out split after each epoch.  The best epoch
+is the first one with the highest test macro-F1; its checkpoint is kept,
+and training stops once ``patience`` epochs have passed without a new
+best.  A non-finite gradient raises ``GradientError``, and so does a
+non-finite loss before the first epoch has finished; a non-finite loss in
+a later epoch ends the run with the best epoch's checkpoint.  Everything
+is deterministic for a fixed seed: shuffling, augmentation and dropout
+draw from generators derived from it.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ __all__ = [
     "one_cycle",
     "adam_step",
     "Adam",
-    "EarlyStopper",
     "MetricsReport",
     "compute_metrics",
     "evaluate",
@@ -163,26 +165,6 @@ class Adam:
         zero_grads(p for _, p in self.named_params)
 
 
-class EarlyStopper:
-    """Stop after ``patience`` consecutive updates without improvement."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = -math.inf
-        self.best_epoch = 0
-        self.count = 0
-
-    def update(self, score: float, epoch: int) -> bool:
-        """Record this epoch's score; True means training should stop."""
-        if score > self.best:
-            self.best = score
-            self.best_epoch = epoch
-            self.count = 0
-        else:
-            self.count += 1
-        return self.count >= self.patience
-
-
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
@@ -260,10 +242,10 @@ class TrainResult:
     aborted: str | None = None
 
     def history_csv(self) -> str:
-        cols = ["epoch", "train_loss", "train_accuracy", "test_accuracy", "test_macro_f1", "lr_last", "beta1_last"]
+        cols = list(self.history[0])  # train() names each column once, in its epoch record
         lines = [",".join(cols)]
         for row in self.history:
-            lines.append(",".join("" if row.get(c) is None else repr(row[c]) for c in cols))
+            lines.append(",".join("" if row[c] is None else repr(row[c]) for c in cols))
         return "\n".join(lines) + "\n"
 
 
@@ -284,10 +266,14 @@ def train(
     cfg: TrainConfig,
     callback=None,
 ) -> TrainResult:
-    """Optimize ``model``; returns the best-F1 checkpoint and epoch history.
+    """Optimize ``model``; returns the best epoch's checkpoint and the history.
 
-    ``callback(epoch, record)`` runs after each epoch and may return the
-    string "stop" to end training early (used by capability checks).
+    The best epoch is the first one with the highest test macro-F1, and
+    training stops once ``cfg.patience`` epochs have passed without a new
+    best.  ``callback(epoch, record)`` runs after each epoch and may return
+    the string "stop" to end training early (used by capability checks).
+    A non-finite loss raises ``GradientError`` if no epoch has finished yet;
+    later, it ends the run with ``aborted="nan-loss"``.
     """
     if len(train_segs) == 0 or len(test_segs) == 0:
         raise ConfigError("train needs non-empty train and test splits")
@@ -296,13 +282,11 @@ def train(
     dropout_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3]))
 
     optimizer = Adam(model.named_parameters(), beta2=cfg.beta2, eps=cfg.eps)
-    stopper = EarlyStopper(cfg.patience)
     steps_per_epoch = math.ceil(len(train_segs) / cfg.batch_size)
     total_steps = max(cfg.epochs * steps_per_epoch, 3)
 
     history = []
-    best_bytes = None
-    best_metrics = None
+    best = None  # (checkpoint, epoch, test metrics) of the best epoch, as TrainResult orders them
     aborted = None
     step = 0
     labels_all = train_segs.labels(cfg.target)
@@ -327,6 +311,8 @@ def train(
             losses.append(loss_val)
         clear_tape()
         if aborted:
+            if best is None:
+                raise GradientError(f"non-finite loss at epoch {epoch}, step {step + 1}, before any epoch finished")
             break
 
         test_metrics = evaluate(model, test_segs, cfg.target)
@@ -343,31 +329,12 @@ def train(
             record["train_accuracy"] = evaluate(model, train_segs, cfg.target).accuracy
         history.append(record)
 
-        should_stop = stopper.update(test_metrics.macro_f1, epoch)
-        if stopper.best_epoch == epoch:
-            best_bytes = serialize_model(
-                model,
-                extra={
-                    "train_config": cfg.to_dict(),
-                    "epoch": epoch,
-                    "test_metrics": test_metrics.to_dict(),
-                },
-            )
-            best_metrics = test_metrics
+        if best is None or test_metrics.macro_f1 > best[2].macro_f1:
+            extra = {"train_config": cfg.to_dict(), "epoch": epoch, "test_metrics": test_metrics.to_dict()}
+            best = (serialize_model(model, extra=extra), epoch, test_metrics)
         if callback is not None and callback(epoch, record) == "stop":
             break
-        if should_stop:
+        if epoch - best[1] >= cfg.patience:
             break
 
-    if best_bytes is None:
-        # nan on the very first batch: fall back to the untrained model
-        best_bytes = serialize_model(model, extra={"train_config": cfg.to_dict(), "epoch": 0})
-        best_metrics = evaluate(model, test_segs, cfg.target)
-    return TrainResult(
-        best_checkpoint=best_bytes,
-        best_epoch=stopper.best_epoch,
-        best_metrics=best_metrics,
-        history=history,
-        epochs_run=len(history),
-        aborted=aborted,
-    )
+    return TrainResult(*best, history=history, epochs_run=len(history), aborted=aborted)

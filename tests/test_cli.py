@@ -396,6 +396,28 @@ def test_manifest_without_pre_trial_ms_is_data_error(tmp_path, raw_dir):
     assert main(["preprocess", "--data", str(broken), "--out", str(tmp_path / "segs.npz")]) == 2
 
 
+def test_manifest_with_a_negative_pre_trial_ms_is_data_error(tmp_path, raw_dir, capsys):
+    broken = tmp_path / "raw"
+    shutil.copytree(raw_dir, broken)
+    manifest = json.loads((broken / "manifest.json").read_text())
+    # cut every payload to the length a -250 ms manifest describes, so that only the sign is wrong
+    old_ms, new_ms, trial_ms = manifest["pre_trial_ms"], -250, 1000 * manifest["trial_seconds"]
+    for entry in manifest["trials"]:
+        payload, blocks = np.fromfile(broken / entry["file"], dtype="<f4"), []
+        for m in manifest["modalities"]:
+            channels, rate = m["channels"], m["rate"]
+            old_len, new_len = rate * (old_ms + trial_ms) // 1000, rate * (new_ms + trial_ms) // 1000
+            block, payload = np.split(payload, [channels * old_len])
+            blocks.append(block.reshape(channels, old_len)[:, old_len - new_len :].ravel())
+        data = np.concatenate(blocks).astype("<f4").tobytes()
+        (broken / entry["file"]).write_bytes(data)
+        entry["bytes"] = len(data)
+    manifest["pre_trial_ms"] = new_ms
+    (broken / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["preprocess", "--data", str(broken), "--out", str(tmp_path / "segs.npz")]) == 2
+    assert "pre_trial_ms must be >= 0, got -250" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "payload,match",
     [
@@ -571,6 +593,34 @@ def test_eval_checkpoint_with_another_num_classes_is_data_error(tmp_path, raw_di
     ckpt.write_bytes(blob.replace(b'"num_classes":3', b'"num_classes":4', 1))
     assert main(["eval", "--checkpoint", str(ckpt), "--data", str(raw_dir), "--out", str(tmp_path / "o")]) == 2
     assert "num_classes must be 3" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def phm_checkpoint(tmp_path_factory, raw_dir, config_file):
+    out = tmp_path_factory.mktemp("cli") / "phm"
+    code = main(
+        ["train", "--data", str(raw_dir), "--out", str(out), "--variant", "phm",
+         "--config", str(config_file), "--epochs", "1", "--patience", "1"]
+    )
+    assert code == 0
+    return out / "checkpoint.h2ck"
+
+
+@pytest.mark.parametrize(
+    "tensor,value,match",
+    [("eeg.fc1.A", np.nan, "non-finite value"), ("eeg.bn1.running_var", -1.0, "negative variance")],
+    ids=["nan-weight", "negative-running-var"],
+)
+def test_eval_checkpoint_with_bad_numbers_is_data_error(
+    tmp_path, raw_dir, capsys, phm_checkpoint, tensor, value, match
+):
+    model, extra = load_checkpoint(phm_checkpoint)
+    arrays = {name: p.data for name, p in model.named_parameters()} | dict(model.named_buffers())
+    arrays[tensor][...] = value
+    bad = tmp_path / "bad.h2ck"
+    save_checkpoint(model, bad, extra=extra)
+    assert main(["eval", "--checkpoint", str(bad), "--data", str(raw_dir), "--out", str(tmp_path / "o")]) == 2
+    assert f"tensor {tensor} holds a {match}" in capsys.readouterr().err
 
 
 def test_workers_flag_is_gone(tmp_path, raw_dir):

@@ -28,7 +28,6 @@ from hyperx.tensor import (
     phm_linear,
     relu,
     reshape,
-    scale,
     softmax_cross_entropy,
     tape_scope,
     tensor_sum,
@@ -661,7 +660,7 @@ def test_backward_gives_a_grad_to_leaves_only():
     w = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
     with tape_scope() as tape:
         h = linear(x, w)
-        backward(tensor_sum(scale(relu(h), 3.0)))
+        backward(tensor_sum(mul(relu(h), Tensor(3.0))))
         intermediates = [node.out for node in tape.nodes]
     assert len(intermediates) == 4
     assert all(t.grad is None for t in intermediates)
@@ -678,7 +677,7 @@ def test_backward_drops_each_gradient_once_its_node_has_used_it():
     with tape_scope():
         y = x
         for _ in range(20):
-            y = relu(scale(y, 0.9))
+            y = relu(mul(y, Tensor(0.9)))
         loss = tensor_sum(y)
         tracemalloc.start()
         try:
@@ -704,7 +703,6 @@ def _leaf(rng, *shape, grad=True):
 OP_CALLS = [
     ("add", lambda r, xg: add(_leaf(r, 4, 3, grad=xg), _leaf(r, 3))),
     ("mul", lambda r, xg: mul(_leaf(r, 4, 3, grad=xg), _leaf(r, 4, 1))),
-    ("scale", lambda r, xg: scale(_leaf(r, 4, 3, grad=xg), 2.0)),
     ("reshape", lambda r, xg: reshape(_leaf(r, 4, 3, grad=xg), (3, 4))),
     ("concat", lambda r, xg: concat([_leaf(r, 2, 3, grad=xg), _leaf(r, 2, 1), _leaf(r, 2, 2)])),
     ("relu", lambda r, xg: relu(_leaf(r, 4, 3, grad=xg))),

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from hyperx import trainer
 from hyperx.dataset import split_segments
 from hyperx.errors import ConfigError, GradientError
-from hyperx.model import EVAL_CHUNK, H2Model
+from hyperx.model import EVAL_CHUNK, H2Model, deserialize_model
 from hyperx.trainer import (
     Adam,
-    EarlyStopper,
+    MetricsReport,
     TrainConfig,
     adam_step,
     compute_metrics,
@@ -172,31 +173,6 @@ def test_adam_optimizer_names_the_non_finite_parameter():
 
 
 # ---------------------------------------------------------------------------
-# early stopping
-# ---------------------------------------------------------------------------
-
-
-def test_early_stopper_flat_history_stops_at_best_plus_patience():
-    stopper = EarlyStopper(patience=10)
-    stopped_at = None
-    f1 = [0.1, 0.2, 0.3, 0.4, 0.5] + [0.5] * 40
-    for epoch, score in enumerate(f1, start=1):
-        if stopper.update(score, epoch):
-            stopped_at = epoch
-            break
-    assert stopped_at == 15
-    assert stopper.best_epoch == 5
-
-
-def test_early_stopper_never_stops_before_patience_updates():
-    stopper = EarlyStopper(patience=3)
-    assert not stopper.update(1.0, 1)
-    assert not stopper.update(0.9, 2)
-    assert not stopper.update(0.9, 3)
-    assert stopper.update(0.9, 4)
-
-
-# ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
 
@@ -314,15 +290,53 @@ def test_train_config_validation():
         TrainConfig(target="both").validate()
 
 
-def test_train_nan_loss_aborts_with_last_good_checkpoint(tiny_segments):
+def _train_on_scripted_scores(monkeypatch, segs, scores, epochs, patience):
+    """A linear-variant run whose per-epoch test macro-F1 is read from ``scores``."""
+    scores = iter(scores)
+    monkeypatch.setattr(trainer, "evaluate", lambda *a, **k: MetricsReport(0.0, next(scores), [], [], 0))
+    cfg = _tiny_train_cfg(epochs=epochs, patience=patience)
+    tr, te = split_segments(segs, cfg.target, cfg.train_frac, cfg.split_seed)
+    return train(H2Model(tiny_model_config(variant="linear"), seed=0), tr, te, cfg)
+
+
+def test_train_stops_patience_epochs_after_the_first_best(monkeypatch, tiny_segments):
+    f1 = [0.1, 0.2, 0.3, 0.4, 0.5] + [0.5] * 40
+    result = _train_on_scripted_scores(monkeypatch, tiny_segments, f1, epochs=45, patience=10)
+    assert result.epochs_run == 15
+    assert result.best_epoch == 5
+    assert result.best_metrics.macro_f1 == 0.5
+    assert result.aborted is None
+
+
+def test_train_never_stops_before_patience_epochs_without_a_new_best(monkeypatch, tiny_segments):
+    result = _train_on_scripted_scores(monkeypatch, tiny_segments, [1.0, 0.9, 0.9, 0.9, 0.9], epochs=5, patience=3)
+    assert result.epochs_run == 4
+    assert result.best_epoch == 1
+
+
+def test_train_nan_loss_in_the_first_epoch_raises(tiny_segments):
     cfg = _tiny_train_cfg(epochs=3, patience=3)
     tr, te = split_segments(tiny_segments, cfg.target, cfg.train_frac, cfg.split_seed)
     model = H2Model(tiny_model_config(), seed=0)
     model.fusion.head.w.data[:] = np.inf
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(GradientError, match="epoch 1, step 1"):
+        train(model, tr, te, cfg)
+
+
+def test_train_nan_loss_after_the_first_epoch_keeps_the_best_checkpoint(tiny_segments):
+    cfg = _tiny_train_cfg(epochs=3, patience=3)
+    tr, te = split_segments(tiny_segments, cfg.target, cfg.train_frac, cfg.split_seed)
+    model = H2Model(tiny_model_config(), seed=0)
+
+    def diverge(epoch, record):
+        model.fusion.head.w.data[:] = np.inf
+
     with np.errstate(invalid="ignore", over="ignore"):
-        result = train(model, tr, te, cfg)
+        result = train(model, tr, te, cfg, callback=diverge)
     assert result.aborted == "nan-loss"
-    assert result.best_checkpoint  # falls back to a serialized model
+    assert result.best_epoch == result.epochs_run == 1
+    reloaded, _ = deserialize_model(result.best_checkpoint)
+    assert all(np.isfinite(p.data).all() for _, p in reloaded.named_parameters())
 
 
 # A fixed-seed one-epoch phc run. Rewriting a hot-path op may reorder float64
