@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: synth, preprocess, train, eval, gradcheck.  Exit codes:
-0 success, 1 usage error, 2 data/format error or a path the OS rejects,
-3 check failure.
+0 success, 1 any other error (a setting, an input, a diverged model),
+2 a ``FormatError`` (a stored file) or a path the OS rejects, 3 check
+failure; ``hyperx.errors`` tables the error types.
 
 Every run writes a run.json capturing the fully resolved configuration and
 a content hash of the dataset manifest when one is involved.  Config
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import dataset as ds
 from . import sigproc
-from .errors import ConfigError, FormatError, HyperxError, IntegrityError
+from .errors import ConfigError, FormatError, HyperxError
 from .layers import (
     BatchNorm1d,
     PHCLayer,
@@ -477,10 +478,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, IntegrityError, OSError) as e:
+    except (FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return DATA_ERROR
-    except (ConfigError, HyperxError, ValueError) as e:
+    except (HyperxError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import JsonConfig
-from .errors import ConfigError, FormatError, IntegrityError, StratificationError
+from .errors import ConfigError, FormatError, InputError
 
 __all__ = [
     "TARGETS",
@@ -266,7 +266,7 @@ def _phase_vote(x: np.ndarray, fs: float, freq: float) -> int:
     n = x.shape[1]
     k = freq * n / fs
     if abs(k - round(k)) > 1e-6:
-        raise ValueError(f"freq {freq} is not an exact DFT bin for length {n} at fs={fs}")
+        raise ConfigError(f"freq {freq} is not an exact DFT bin for length {n} at fs={fs}")
     spectrum = np.fft.rfft(x, axis=1)[:, int(round(k))]
     phases = np.angle(spectrum)
     candidates = [class_phase_step(label, x.shape[0]) for label in CLASSES]
@@ -315,7 +315,7 @@ class SegmentSet:
 
     def labels(self, target: str) -> np.ndarray:
         if target not in TARGETS:
-            raise ValueError(f"target must be {' or '.join(TARGETS)}, got {target!r}")
+            raise ConfigError(f"target must be {' or '.join(TARGETS)}, got {target!r}")
         return getattr(self, target)
 
     def take(self, idx) -> "SegmentSet":
@@ -334,7 +334,7 @@ def stratified_split(labels, train_frac: float = 0.8, seed: int = 0):
     for cls in np.unique(labels):
         idx = np.flatnonzero(labels == cls)
         if idx.size < 2:
-            raise StratificationError(f"class {cls} has only {idx.size} item(s); cannot stratify")
+            raise InputError(f"class {cls} has only {idx.size} item(s); cannot stratify")
         rng.shuffle(idx)
         n_train = int(round(train_frac * idx.size))
         n_train = min(max(n_train, 1), idx.size - 1)
@@ -355,7 +355,7 @@ def split_segments(
     for unit="trial", so no trial then contributes segments to both sides.
     """
     if unit not in SPLIT_UNITS:
-        raise ValueError(f"unit must be {' or '.join(map(repr, SPLIT_UNITS))}, got {unit!r}")
+        raise ConfigError(f"unit must be {' or '.join(map(repr, SPLIT_UNITS))}, got {unit!r}")
     groups = np.arange(len(segs)) if unit == "segment" else segs.trial_ids
     keys, first = np.unique(groups, return_index=True)
     train_keys, _ = stratified_split(segs.labels(target)[first], train_frac, seed)
@@ -458,8 +458,8 @@ def _checked(obj, schema: dict, where: str) -> dict:
 
 
 def load_dataset(path) -> TrialDataset:
-    """Read a raw dataset directory; a malformed manifest is a FormatError, a
-    payload that disagrees with it or holds a non-finite value an IntegrityError."""
+    """Read a raw dataset directory; a malformed manifest, or a payload that
+    disagrees with it or holds a non-finite value, is a FormatError."""
     root = Path(path).resolve()
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
@@ -486,15 +486,15 @@ def load_dataset(path) -> TrialDataset:
         if not fpath.is_relative_to(root):
             raise FormatError(f"trial {entry['id']}: payload file {entry['file']!r} lies outside {root}")
         if not fpath.exists():
-            raise IntegrityError(f"trial {entry['id']}: missing payload file {entry['file']}")
+            raise FormatError(f"trial {entry['id']}: missing payload file {entry['file']}")
         payload = fpath.read_bytes()
         want = sum(c * _samples(r, pre_ms) * 4 for _, c, r in listed)
         if len(payload) != want or entry["bytes"] != want:
-            raise IntegrityError(
+            raise FormatError(
                 f"trial {entry['id']}: payload is {len(payload)} bytes (manifest says {entry['bytes']}), expected {want}"
             )
         if not np.isfinite(np.frombuffer(payload, dtype="<f4")).all():
-            raise IntegrityError(f"trial {entry['id']}: payload holds non-finite values")
+            raise FormatError(f"trial {entry['id']}: payload holds non-finite values")
         arrays = {}
         offset = 0
         for name, channels, rate in listed:
@@ -533,10 +533,9 @@ def save_segments(segs: SegmentSet, path, meta: dict | None = None):
 
 def load_segments(path) -> tuple[SegmentSet, dict]:
     """Read a ``save_segments`` archive.  A missing array, no segments, arrays of
-    unequal length, a label outside ``CLASSES``, a signal that is not real numbers or has
-    the wrong segment shape, or a ``meta`` that is not JSON is a FormatError, and so
-    is a file that is no readable .npz (empty, truncated, corrupt or a bare .npy);
-    a non-finite signal is an IntegrityError."""
+    unequal length, a label outside ``CLASSES``, a signal that is not finite real numbers
+    or has the wrong segment shape, or a ``meta`` that is not JSON is a FormatError, and
+    so is a file that is no readable .npz (empty, truncated, corrupt or a bare .npy)."""
     try:
         with np.load(path, allow_pickle=False) as z:
             arrays = {f.name: z[f.name] for f in fields(SegmentSet)}
@@ -563,7 +562,7 @@ def load_segments(path) -> tuple[SegmentSet, dict]:
                 raise FormatError(f"{where} {name!r} has shape {arr.shape[1:]}, want {SEGMENT_SHAPES[name]}")
             arrays[name] = arr = arr.astype(np.float64)
             if not np.isfinite(arr).all():
-                raise IntegrityError(f"{where} {name!r} holds non-finite values")
+                raise FormatError(f"{where} {name!r} holds non-finite values")
         elif name in TARGETS and (arr.dtype.kind not in "iu" or not np.isin(arr, CLASSES).all()):
             raise FormatError(f"{where} {name!r} holds labels outside {set(CLASSES)}")
     return SegmentSet(**arrays), meta

@@ -1,49 +1,33 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one per kind of fault.
+
+Each type has one ``hyperx`` exit code:
+
+| type              | the fault                                                  | exit |
+|-------------------|------------------------------------------------------------|------|
+| ``ConfigError``   | a setting                                                  | 1    |
+| ``InputError``    | an array or dataset handed to an op, layer, model or split | 1    |
+| ``FormatError``   | a stored file                                              | 2    |
+| ``GradientError`` | training diverged                                          | 1    |
+"""
 
 
 class HyperxError(Exception):
     """Base class for all package errors."""
 
 
-class DimensionError(HyperxError, ValueError):
-    """Operand shapes are incompatible with the requested operation."""
-
-
-class RankError(HyperxError, ValueError):
-    """Operand has the wrong number of axes, or a loss is not scalar."""
-
-
 class ConfigError(HyperxError, ValueError):
-    """Invalid layer/model/schedule configuration (divisibility, ranges)."""
+    """A setting is out of range: a config field, a layer's sizes or an op's scalar argument."""
 
 
-class LabelError(HyperxError, ValueError):
-    """Class label outside the supported range."""
-
-
-class DegenerateBatchError(HyperxError, ValueError):
-    """Batch statistics requested on a batch too small to define them."""
-
-
-class InputValidationError(HyperxError, ValueError):
-    """Model input contains non-finite or non-real values."""
-
-
-class TooShortError(HyperxError, ValueError):
-    """Signal shorter than a filter's warm-up requirement."""
+class InputError(HyperxError, ValueError):
+    """An array or dataset handed to an op, layer, model or split has the wrong
+    shape, rank, labels or values, or is too short or too small."""
 
 
 class FormatError(HyperxError, ValueError):
-    """A stored dataset or checkpoint does not match its documented schema."""
-
-
-class IntegrityError(HyperxError, ValueError):
-    """Stored payload bytes disagree with the manifest."""
-
-
-class StratificationError(HyperxError, ValueError):
-    """A class has too few items to stratify."""
+    """A stored dataset, segment archive, checkpoint or config file is malformed
+    or disagrees with its own manifest."""
 
 
 class GradientError(HyperxError, RuntimeError):
-    """Non-finite loss or gradient encountered during optimization."""
+    """A loss, gradient or eval logit is not finite."""

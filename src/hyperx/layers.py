@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, InputError
 from .tensor import (
     BN_EPS,
     Tensor,
@@ -227,7 +227,7 @@ class BatchNorm1d(_Module):
         if train:
             return batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var)
         if x.ndim not in (2, 3) or x.shape[1 if x.ndim == 2 else 0] != self.channels:
-            raise DimensionError(f"BatchNorm1d({self.channels}) needs [B, C] or [C, B, L], got shape {x.shape}")
+            raise InputError(f"BatchNorm1d({self.channels}) needs [B, C] or [C, B, L], got shape {x.shape}")
         return self._affine(x, self._scale())
 
     def fold(self, w: Tensor, b: Tensor | None) -> tuple[Tensor, Tensor]:

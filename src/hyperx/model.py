@@ -46,7 +46,7 @@ import numpy as np
 
 from .config import JsonConfig
 from .dataset import CLASSES, SEGMENT_SHAPES
-from .errors import ConfigError, DimensionError, FormatError, InputValidationError
+from .errors import ConfigError, FormatError, GradientError, InputError
 from .layers import BatchNorm1d, Dropout, PHCLayer, PHMLayer
 from .tensor import Tensor, concat, global_avg_pool, relu, reshape
 
@@ -216,7 +216,11 @@ class _Fusion:
     def forward(self, h: Tensor, train: bool, rng) -> Tensor:
         for phm in self.phms:
             h = relu(phm(self.dropout(h, train, rng)))
-        return self.head(self.dropout(h, train, rng))
+        logits = self.head(self.dropout(h, train, rng))
+        # the argmax of NaN or inf logits would name one class for every segment
+        if not train and not np.isfinite(logits.data).all():
+            raise GradientError("eval logits are not finite; the weights overflow or hold NaN")
+        return logits
 
     def submodules(self):
         mods = [(f"phm{i + 1}", phm) for i, phm in enumerate(self.phms)]
@@ -243,17 +247,17 @@ class H2Model:
         for name, arr in arrays.items():
             arr = np.asarray(arr)
             if arr.dtype.kind not in "fiu":
-                raise InputValidationError(f"{name} input has dtype {arr.dtype}; want real numbers")
+                raise InputError(f"{name} input has dtype {arr.dtype}; want real numbers")
             arrays[name] = arr = arr.astype(np.float64, copy=False)
             want = SEGMENT_SHAPES[name]
             if arr.ndim != 3 or arr.shape[1:] != want:
-                raise DimensionError(f"{name} batch has shape {arr.shape}, want [B, {want[0]}, {want[1]}]")
+                raise InputError(f"{name} batch has shape {arr.shape}, want [B, {want[0]}, {want[1]}]")
             if batch is None:
                 batch = arr.shape[0]
             elif arr.shape[0] != batch:
-                raise DimensionError(f"{name} batch size {arr.shape[0]} != {batch}")
+                raise InputError(f"{name} batch size {arr.shape[0]} != {batch}")
             if not np.isfinite(arr).all():
-                raise InputValidationError(f"{name} input contains non-finite values")
+                raise InputError(f"{name} input contains non-finite values")
         return arrays
 
     def embed(self, eeg, ecg, gsr, eye, train: bool = False) -> Tensor:
@@ -380,7 +384,10 @@ def deserialize_model(data: bytes) -> tuple[H2Model, dict]:
         rank = r.u32(f"rank of {name}")
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank, f"dims of {name}"))
         data_bytes = r.take(8 * math.prod(dims), f"data of {name}")
-        arr = np.frombuffer(data_bytes, dtype="<f8").reshape(dims)
+        try:
+            arr = np.frombuffer(data_bytes, dtype="<f8").reshape(dims)
+        except ValueError as e:  # a zero dim lets the other dims overflow numpy's size
+            raise FormatError(f"tensor {name} has shape {dims}: {e}") from e
         if not np.isfinite(arr).all():
             raise FormatError(f"tensor {name} holds a non-finite value")
         if name.endswith(".running_var") and (arr < 0).any():

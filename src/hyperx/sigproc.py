@@ -50,7 +50,7 @@ from .dataset import (
     SegmentSet,
     TrialDataset,
 )
-from .errors import ConfigError, TooShortError
+from .errors import ConfigError, InputError
 
 __all__ = [
     "IIRFilterSpec",
@@ -102,7 +102,7 @@ def _zero_phase(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Forward-backward filtering with odd padding of 3 filter lengths."""
     padlen = 3 * (2 * sos.shape[0] + 1)
     if x.shape[-1] <= padlen:
-        raise TooShortError(f"signal length {x.shape[-1]} <= filter warm-up {padlen}")
+        raise InputError(f"signal length {x.shape[-1]} <= filter warm-up {padlen}")
     return sps.sosfiltfilt(sos, x, axis=-1, padtype="odd", padlen=padlen)
 
 
@@ -136,7 +136,7 @@ def baseline_correct_gsr(
     trial portion only."""
     window = int(round(baseline_ms / 1000.0 * fs))
     if pre_trial_samples < window:
-        raise TooShortError(
+        raise InputError(
             f"need {window} pre-trial samples for a {baseline_ms} ms baseline, have {pre_trial_samples}"
         )
     base = gsr[..., pre_trial_samples - window : pre_trial_samples].mean(axis=-1, keepdims=True)
@@ -205,6 +205,8 @@ def _chain(eeg, ecg, gsr, eye, pre_trial_ms: int, cfg: PreprocessConfig):
     block's [N, C, L] arrays; returns (eeg, ecg, gsr, eye) of the trial portion."""
     pre128 = int(round(TARGET_RATE * pre_trial_ms / 1000.0))
     pre60 = int(round(EYE_RATE * pre_trial_ms / 1000.0))
+    if pre128 < round(cfg.baseline_ms / 1000.0 * TARGET_RATE):
+        raise ConfigError(f"pre_trial_ms={pre_trial_ms} is shorter than the GSR baseline, baseline_ms={cfg.baseline_ms}")
 
     gsr = apply_filter(gsr, IIRFilterSpec("lowpass", high=cfg.gsr_lowpass_hz, order=cfg.filter_order), 256.0)
 

@@ -43,12 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateBatchError,
-    DimensionError,
-    LabelError,
-    RankError,
-)
+from .errors import ConfigError, InputError
 
 __all__ = [
     "Tensor",
@@ -111,7 +106,7 @@ class Tensor:
 
     def item(self) -> float:
         if self.data.size != 1:
-            raise RankError(f"item() needs a single-element tensor, got shape {self.data.shape}")
+            raise InputError(f"item() needs a single-element tensor, got shape {self.data.shape}")
         return float(self.data.reshape(()))
 
     def backward(self):
@@ -206,7 +201,7 @@ def backward(loss: Tensor):
     reverse walk reaches its node, so none outlives the node that used it.
     """
     if loss.data.size != 1:
-        raise RankError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+        raise InputError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         return
     grads: dict[int, tuple[Tensor, np.ndarray]] = {id(loss): (loss, np.ones_like(loss.data))}
@@ -261,7 +256,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape, dtype=np.int64)) != a.data.size:
-        raise DimensionError(f"cannot reshape {a.data.shape} to {shape}")
+        raise InputError(f"cannot reshape {a.data.shape} to {shape}")
     sa = a.data.shape
     return _make_output(a.data.reshape(shape), (a,), lambda g: (g.reshape(sa),))
 
@@ -290,7 +285,7 @@ def tensor_sum(x: Tensor) -> Tensor:
 def global_avg_pool(x: Tensor) -> Tensor:
     """Channel-major [C, B, L] -> [B, C] by averaging over the length axis."""
     if x.data.ndim != 3:
-        raise RankError(f"global_avg_pool needs [C, B, L], got shape {x.data.shape}")
+        raise InputError(f"global_avg_pool needs [C, B, L], got shape {x.data.shape}")
     sx = x.data.shape
     data = x.data.mean(axis=2).T
     return _make_output(data, (x,), lambda g: (np.broadcast_to(g.T[:, :, None] / sx[2], sx),))
@@ -304,9 +299,9 @@ def global_avg_pool(x: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """y = x @ w.T (+ b) with x: [B, d_in], w: [d_out, d_in], b: [d_out]."""
     if x.data.ndim != 2 or w.data.ndim != 2:
-        raise RankError(f"linear needs rank-2 x and w, got {x.data.shape} and {w.data.shape}")
+        raise InputError(f"linear needs rank-2 x and w, got {x.data.shape} and {w.data.shape}")
     if x.data.shape[1] != w.data.shape[1]:
-        raise DimensionError(
+        raise InputError(
             f"linear input width {x.data.shape} does not match weight {w.data.shape}"
         )
     xd, wd, x_grad = x.data, w.data, x.requires_grad
@@ -331,16 +326,16 @@ def phm_linear(x: Tensor, a: Tensor, f: Tensor, b: Tensor | None = None) -> Tens
     a[i, p, q].  With p = q = n the GEMM FLOPs equal those of the dense layer.
     """
     if x.data.ndim != 2 or a.data.ndim != 3 or f.data.ndim != 3:
-        raise RankError(
+        raise InputError(
             f"phm_linear needs x [B,q*s], a [n,p,q] and f [n,r,s], got {x.data.shape}, {a.data.shape} and {f.data.shape}"
         )
     n, p, q = a.data.shape
     r, s = f.data.shape[1:]
     if f.data.shape[0] != n:
-        raise DimensionError(f"phm_linear algebra {a.data.shape} and filters {f.data.shape} disagree on n")
+        raise InputError(f"phm_linear algebra {a.data.shape} and filters {f.data.shape} disagree on n")
     B = x.data.shape[0]
     if x.data.shape[1] != q * s:
-        raise DimensionError(
+        raise InputError(
             f"phm_linear input width {x.data.shape} does not match q*s of algebra {a.data.shape} and filters {f.data.shape}"
         )
     xb = x.data.reshape(B * q, s)
@@ -373,16 +368,16 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
     Output length is floor((L + 2*padding - K) / stride) + 1.
     """
     if x.data.ndim != 3 or w.data.ndim != 3:
-        raise RankError(f"conv1d needs x [Cin,B,L] and w [Cout,Cin,K], got {x.data.shape} and {w.data.shape}")
+        raise InputError(f"conv1d needs x [Cin,B,L] and w [Cout,Cin,K], got {x.data.shape} and {w.data.shape}")
     Cin, B, L = x.data.shape
     Cout, Cin_w, K = w.data.shape
     if Cin != Cin_w:
-        raise DimensionError(f"conv1d channel mismatch: input {x.data.shape} vs weight {w.data.shape}")
+        raise InputError(f"conv1d channel mismatch: input {x.data.shape} vs weight {w.data.shape}")
     if stride < 1 or padding < 0:
-        raise DimensionError(f"conv1d needs stride >= 1 and padding >= 0, got stride={stride}, padding={padding}")
+        raise ConfigError(f"conv1d needs stride >= 1 and padding >= 0, got stride={stride}, padding={padding}")
     Lp = L + 2 * padding
     if K > Lp:
-        raise DimensionError(f"conv1d kernel {w.data.shape} larger than padded input {x.data.shape} (padding={padding})")
+        raise InputError(f"conv1d kernel {w.data.shape} larger than padded input {x.data.shape} (padding={padding})")
     Lout = (Lp - K) // stride + 1
     xd = x.data
 
@@ -441,11 +436,11 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         axes, shape_c, sub = (1, 2), (-1, 1, 1), "cbl,cbl->c"
         C, B = x.data.shape[:2]
     else:
-        raise RankError(f"batch_norm needs [B,C] or [C,B,L], got shape {x.data.shape}")
+        raise InputError(f"batch_norm needs [B,C] or [C,B,L], got shape {x.data.shape}")
     if gamma.data.shape != (C,) or beta.data.shape != (C,):
-        raise DimensionError(f"batch_norm affine shapes {gamma.data.shape}/{beta.data.shape} do not match C={C}")
+        raise InputError(f"batch_norm affine shapes {gamma.data.shape}/{beta.data.shape} do not match C={C}")
     if B < 2:
-        raise DegenerateBatchError(f"batch_norm in train mode needs batch size >= 2, got {B}")
+        raise InputError(f"batch_norm in train mode needs batch size >= 2, got {B}")
     xd, x_grad = x.data, x.requires_grad
     n = xd.size // C
     mu_c = xd.mean(axis=axes).reshape(shape_c)
@@ -484,11 +479,11 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     """Train-mode inverted dropout; exact identity at p == 0.  In eval mode
     ``layers.Dropout`` returns its input without calling this op."""
     if not 0.0 <= p < 1.0:
-        raise DimensionError(f"dropout probability must be in [0, 1), got {p}")
+        raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
     if p == 0.0:
         return x
     if rng is None:
-        raise ValueError("dropout needs an explicit rng")
+        raise ConfigError("dropout needs an explicit rng")
     keep = rng.random(x.data.shape) >= p
     factor = keep / (1.0 - p)
     return _make_output(x.data * factor, (x,), lambda g: (g * factor,))
@@ -500,15 +495,15 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     logits: [B, K]; labels: length-B integer array with values in [0, K).
     """
     if logits.data.ndim != 2:
-        raise RankError(f"softmax_cross_entropy needs [B, K] logits, got shape {logits.data.shape}")
+        raise InputError(f"softmax_cross_entropy needs [B, K] logits, got shape {logits.data.shape}")
     labels = np.asarray(labels)
     B, K = logits.data.shape
     if labels.shape != (B,):
-        raise DimensionError(f"labels shape {labels.shape} does not match batch {B}")
+        raise InputError(f"labels shape {labels.shape} does not match batch {B}")
     labels = labels.astype(np.int64)
     if labels.min() < 0 or labels.max() >= K:
         bad = labels[(labels < 0) | (labels >= K)][0]
-        raise LabelError(f"label {bad} outside [0, {K})")
+        raise InputError(f"label {bad} outside [0, {K})")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     ez = np.exp(z)
     sm = ez / ez.sum(axis=1, keepdims=True)
@@ -538,9 +533,9 @@ def kron_sum(a: Tensor, f: Tensor) -> Tensor:
     this is the plain Kronecker product of a[0] and f[0].
     """
     if a.data.ndim != 3 or f.data.ndim < 3:
-        raise RankError(f"kron_sum needs [n,p,q] and [n,r,s,*taps], got {a.data.shape} and {f.data.shape}")
+        raise InputError(f"kron_sum needs [n,p,q] and [n,r,s,*taps], got {a.data.shape} and {f.data.shape}")
     if a.data.shape[0] != f.data.shape[0]:
-        raise DimensionError(f"kron_sum leading dims disagree: {a.data.shape} vs {f.data.shape}")
+        raise InputError(f"kron_sum leading dims disagree: {a.data.shape} vs {f.data.shape}")
     ad, f_shape = a.data, f.data.shape
     n, p, q = ad.shape
     r, s, *taps = f_shape[1:]
@@ -561,7 +556,7 @@ def kron_sum(a: Tensor, f: Tensor) -> Tensor:
 def kron_sum_taps(a: Tensor, f: Tensor) -> Tensor:
     """``kron_sum`` of convolution filters: a: [n,p,q], f: [n,r,s,K] -> [p*r, q*s, K]."""
     if f.data.ndim != 4:
-        raise RankError(f"kron_sum_taps needs a rank-4 f [n,r,s,K], got {f.data.shape}")
+        raise InputError(f"kron_sum_taps needs a rank-4 f [n,r,s,K], got {f.data.shape}")
     return kron_sum(a, f)
 
 
@@ -614,13 +609,13 @@ def grad_check(
     rule can be told from rounding.
     """
     if not x.requires_grad:
-        raise ValueError("grad_check target must have requires_grad=True")
+        raise InputError("grad_check target must have requires_grad=True")
     saved = x.grad
     x.grad = None
     with tape_scope():
         y = f(x)
         if y.data.size != 1:
-            raise RankError(f"grad_check needs a scalar-valued function, got shape {y.data.shape}")
+            raise InputError(f"grad_check needs a scalar-valued function, got shape {y.data.shape}")
         backward(y)
         analytic = x.grad.copy() if x.grad is not None else np.zeros_like(x.data)
     x.grad = saved

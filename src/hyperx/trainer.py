@@ -210,7 +210,7 @@ def compute_metrics(y_true, y_pred) -> MetricsReport:
 
 
 def predict(model: H2Model, segs: SegmentSet, batch_size: int = EVAL_BATCH_SIZE) -> np.ndarray:
-    """Eval-mode class predictions for every segment."""
+    """Eval-mode class predictions for every segment; non-finite logits raise ``GradientError``."""
     preds = []
     with no_grad():
         for start in range(0, len(segs), batch_size):

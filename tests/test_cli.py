@@ -623,6 +623,27 @@ def test_eval_checkpoint_with_bad_numbers_is_data_error(
     assert f"tensor {tensor} holds a {match}" in capsys.readouterr().err
 
 
+def test_eval_checkpoint_whose_logits_overflow_is_usage_error(tmp_path, raw_dir, capsys, phm_checkpoint):
+    # every weight is finite, so the checkpoint loads; the eval forward overflows
+    model, extra = load_checkpoint(phm_checkpoint)
+    model.fusion.head.w.data[...] = 1e308
+    model.fusion.phms[0].weight.f.data[...] = 1e300
+    huge = tmp_path / "huge.h2ck"
+    save_checkpoint(model, huge, extra=extra)
+    out = tmp_path / "o"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["eval", "--checkpoint", str(huge), "--data", str(raw_dir), "--out", str(out)]) == 1
+    assert "eval logits are not finite" in capsys.readouterr().err
+    assert not (out / "metrics.json").exists()
+
+
+def test_pre_trial_window_shorter_than_the_gsr_baseline_is_usage_error(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    assert main(["synth", "--out", str(raw), "--subjects", "1", "--trials", "2", "--pre-trial-ms", "0"]) == 0
+    assert main(["preprocess", "--data", str(raw), "--out", str(tmp_path / "s.npz")]) == 1
+    assert "pre_trial_ms=0 is shorter than the GSR baseline, baseline_ms=200.0" in capsys.readouterr().err
+
+
 def test_workers_flag_is_gone(tmp_path, raw_dir):
     with pytest.raises(SystemExit) as exc:
         main(["preprocess", "--data", str(raw_dir), "--out", str(tmp_path / "s.npz"), "--workers", "2"])

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperx.cli import main
 from hyperx.dataset import (
@@ -22,7 +24,7 @@ from hyperx.dataset import (
     split_segments,
     stratified_split,
 )
-from hyperx.errors import ConfigError, FormatError, IntegrityError, StratificationError
+from hyperx.errors import ConfigError, FormatError, InputError
 from hyperx.sigproc import preprocess_dataset
 
 
@@ -131,7 +133,7 @@ def test_stratified_split_proportions_random_label_mixes():
 
 
 def test_stratified_split_small_class_error():
-    with pytest.raises(StratificationError):
+    with pytest.raises(InputError):
         stratified_split(np.array([0, 0, 0, 1]), 0.8, seed=0)
 
 
@@ -265,7 +267,7 @@ def test_truncated_payload_names_trial(tmp_path):
     root = save_dataset(generate_synthetic(SMALL), tmp_path / "ds")
     victim = sorted((root / "trials").iterdir())[2]
     victim.write_bytes(victim.read_bytes()[:-8])
-    with pytest.raises(IntegrityError, match=victim.stem):
+    with pytest.raises(FormatError, match=victim.stem):
         load_dataset(root)
 
 
@@ -273,7 +275,7 @@ def test_missing_payload_file(tmp_path):
     root = save_dataset(generate_synthetic(SMALL), tmp_path / "ds")
     victim = sorted((root / "trials").iterdir())[0]
     victim.unlink()
-    with pytest.raises(IntegrityError, match="missing"):
+    with pytest.raises(FormatError, match="missing"):
         load_dataset(root)
 
 
@@ -328,7 +330,7 @@ def _nan_in_payload(root):
         (_drop_key("modalities"), FormatError, "modalities"),
         (_retype_trial_subject, FormatError, "manifest trial 1: key 'subject' is missing or not of type int"),
         (_not_json, FormatError, "not UTF-8 JSON"),
-        (_nan_in_payload, IntegrityError, "s000t00001: payload holds non-finite"),
+        (_nan_in_payload, FormatError, "s000t00001: payload holds non-finite"),
     ],
     ids=["no_pre_trial_ms", "no_trials", "no_modalities", "str_subject", "not_json", "nan_payload"],
 )
@@ -402,6 +404,30 @@ def test_repeated_trial_id_is_rejected(tmp_path, capsys):
     assert "manifest lists trial id 's000t00000' more than once" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def two_trial_dir(tmp_path_factory):
+    return save_dataset(generate_synthetic(TWO_TRIALS), tmp_path_factory.mktemp("fuzz") / "ds")
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_a_dataset_with_one_bit_flipped_loads_or_is_a_format_error(two_trial_dir, data):
+    """One bit of the manifest or of a payload flipped: the load returns a
+    dataset or raises FormatError, never another exception."""
+    path = data.draw(st.sampled_from(sorted(p for p in two_trial_dir.rglob("*") if p.is_file())), label="file")
+    original = path.read_bytes()
+    bit = data.draw(st.integers(0, 8 * len(original) - 1), label="bit")
+    flipped = bytearray(original)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    path.write_bytes(flipped)
+    try:
+        load_dataset(two_trial_dir)
+    except FormatError:
+        pass
+    finally:
+        path.write_bytes(original)
+
+
 def test_segment_archive_with_no_segments_is_data_error(tmp_path, tiny_segments, capsys):
     path = tmp_path / "empty.npz"
     save_segments(tiny_segments.take([]), path)
@@ -440,7 +466,7 @@ def _meta_not_json(arrays):
     [
         (_shorter_arousal, FormatError, "array 'arousal' has shape"),
         (_label_seven, FormatError, "array 'arousal' holds labels outside"),
-        (_nan_in_eeg, IntegrityError, "array 'eeg' holds non-finite values"),
+        (_nan_in_eeg, FormatError, "array 'eeg' holds non-finite values"),
         (_meta_not_json, FormatError, "array 'meta' is not UTF-8 JSON"),
         (_complex_eeg, FormatError, "array 'eeg' has dtype complex64"),
         (_string_eeg, FormatError, "array 'eeg' has dtype <U8"),

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperx import layers
-from hyperx.errors import ConfigError, DimensionError, FormatError, InputValidationError
+from hyperx.errors import ConfigError, FormatError, InputError
 from hyperx.layers import HypercomplexWeight, PHMLayer
 from hyperx.model import (
     EVAL_CHUNK,
@@ -113,7 +113,7 @@ def test_nan_input_rejected():
     model = H2Model(tiny_model_config(), seed=0)
     batch = random_batch(np.random.default_rng(4))
     batch["ecg"][0, 0, 5] = np.nan
-    with pytest.raises(InputValidationError, match="ecg"):
+    with pytest.raises(InputError, match="ecg"):
         model.forward(**batch)
 
 
@@ -122,7 +122,7 @@ def test_non_real_input_rejected():
     for name, cast in (("eeg", lambda x: 1j * x), ("ecg", lambda x: x.astype(str))):
         batch = random_batch(np.random.default_rng(4))
         batch[name] = cast(batch[name])
-        with pytest.raises(InputValidationError, match=f"{name} input has dtype"):
+        with pytest.raises(InputError, match=f"{name} input has dtype"):
             model.forward(**batch)
 
 
@@ -130,7 +130,7 @@ def test_wrong_channel_count_rejected():
     model = H2Model(tiny_model_config(), seed=0)
     batch = random_batch(np.random.default_rng(5))
     batch["eeg"] = batch["eeg"][:, :9, :]
-    with pytest.raises(DimensionError, match="eeg"):
+    with pytest.raises(InputError, match="eeg"):
         model.forward(**batch)
 
 
@@ -467,6 +467,40 @@ def test_every_truncated_checkpoint_is_a_format_error():
     for cut in cuts:
         with pytest.raises(FormatError):
             deserialize_model(blob[:cut])
+
+
+def _fuzz_checkpoint():
+    """A tiny checkpoint and the offsets of its bytes that are not tensor data:
+    the header, the config block, the tensor count and each entry's name
+    length, name, rank and dims."""
+    model = H2Model(tiny_model_config(), seed=6)
+    blob = serialize_model(model, extra={"epoch": 1})
+    off = 16 + struct.unpack_from("<I", blob, 8)[0]
+    offsets = list(range(off))
+    for name, arr in [(n, p.data) for n, p in model.named_parameters()] + model.named_buffers():
+        head = 4 + len(name) + 4 + 4 * arr.ndim
+        offsets += range(off, off + head)
+        off += head + 8 * arr.size
+    assert off == len(blob)
+    return blob, offsets
+
+
+FUZZ_BLOB, FUZZ_META_OFFSETS = _fuzz_checkpoint()
+
+
+@settings(max_examples=50, deadline=None)
+@given(byte=st.integers(0, len(FUZZ_BLOB) - 1) | st.sampled_from(FUZZ_META_OFFSETS), bit=st.integers(0, 7))
+# rank 3 -> 7: the dims run into the float 1.0, a zero dim next to dims whose product overflows
+@example(byte=FUZZ_BLOB.index(b"gsr.fc.A") + 8, bit=2)
+def test_a_checkpoint_with_one_bit_flipped_loads_or_is_a_format_error(byte, bit):
+    """Half the flips land anywhere, mostly in float data; the other half in
+    the bytes that say how to read it."""
+    blob = bytearray(FUZZ_BLOB)
+    blob[byte] ^= 1 << bit
+    try:
+        deserialize_model(bytes(blob))
+    except FormatError:
+        pass
 
 
 @pytest.mark.parametrize(

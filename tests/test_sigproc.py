@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hyperx.dataset import SEGMENT_SHAPES, RawTrial, SegmentSet, SyntheticSpec, TrialDataset, generate_synthetic
-from hyperx.errors import ConfigError, TooShortError
+from hyperx.errors import ConfigError, InputError
 from hyperx.sigproc import (
     IIRFilterSpec,
     PreprocessConfig,
@@ -72,7 +72,7 @@ def test_downsample_truncates_odd_length():
 
 
 def test_downsample_too_short():
-    with pytest.raises(TooShortError):
+    with pytest.raises(InputError):
         downsample_by2(np.zeros((1, 20)), 256.0)
 
 
@@ -200,7 +200,7 @@ def test_baseline_ramp_hand_computed():
 
 
 def test_baseline_insufficient_context():
-    with pytest.raises(TooShortError):
+    with pytest.raises(InputError):
         baseline_correct_gsr(np.zeros((1, 100)), 128.0, pre_trial_samples=10)
 
 

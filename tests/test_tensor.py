@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperx import tensor
-from hyperx.errors import DegenerateBatchError, DimensionError, LabelError, RankError
+from hyperx.errors import InputError
 from hyperx.layers import BatchNorm1d, Dropout
 from hyperx.tensor import (
     Tensor,
@@ -72,7 +72,7 @@ def test_linear_matches_triple_loop_oracle():
 
 
 def test_linear_shape_error_names_both_shapes():
-    with pytest.raises(DimensionError, match=r"\(2, 3\).*\(4, 5\)"):
+    with pytest.raises(InputError, match=r"\(2, 3\).*\(4, 5\)"):
         linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
 
 
@@ -187,15 +187,15 @@ def test_phm_linear_second_backward_does_not_reuse_first_upstream():
     ],
 )
 def test_phm_linear_rejects_wrong_ranks(x_shape, a_shape, f_shape):
-    with pytest.raises(RankError, match="phm_linear"):
+    with pytest.raises(InputError, match="phm_linear"):
         phm_linear(Tensor(np.zeros(x_shape)), Tensor(np.zeros(a_shape)), Tensor(np.zeros(f_shape)))
 
 
 def test_phm_linear_shape_errors_name_both_shapes():
     a, f = Tensor(np.zeros((2, 2, 2))), Tensor(np.zeros((2, 3, 2)))
-    with pytest.raises(DimensionError, match=r"\(3, 6\).*\(2, 2, 2\).*\(2, 3, 2\)"):
+    with pytest.raises(InputError, match=r"\(3, 6\).*\(2, 2, 2\).*\(2, 3, 2\)"):
         phm_linear(Tensor(np.zeros((3, 6))), a, f)
-    with pytest.raises(DimensionError, match=r"\(2, 2, 2\).*\(3, 3, 2\)"):
+    with pytest.raises(InputError, match=r"\(2, 2, 2\).*\(3, 3, 2\)"):
         phm_linear(Tensor(np.zeros((3, 4))), a, Tensor(np.zeros((3, 3, 2))))
 
 
@@ -247,7 +247,7 @@ def test_conv1d_matches_loop_oracle(stride, padding):
 
 
 def test_conv1d_kernel_too_large():
-    with pytest.raises(DimensionError, match="larger than padded input"):
+    with pytest.raises(InputError, match="larger than padded input"):
         conv1d(Tensor(np.zeros((1, 1, 3))), Tensor(np.zeros((1, 1, 5))))
 
 
@@ -337,7 +337,7 @@ def test_softmax_cross_entropy_uniform():
 
 
 def test_softmax_cross_entropy_label_error():
-    with pytest.raises(LabelError):
+    with pytest.raises(InputError):
         softmax_cross_entropy(Tensor(np.zeros((2, 3))), [0, 3])
 
 
@@ -560,7 +560,7 @@ def test_batch_norm_affine_gradients_without_an_input_gradient(shape):
 
 def test_batch_norm_degenerate_batch():
     gamma, beta, rm, rv = _bn_parts(3)
-    with pytest.raises(DegenerateBatchError):
+    with pytest.raises(InputError):
         batch_norm(Tensor(np.zeros((1, 3))), gamma, beta, rm, rv)
 
 
@@ -568,7 +568,7 @@ def test_batch_norm_reads_the_batch_size_of_channel_major_input_from_axis_1():
     rng = np.random.default_rng(19)
     gamma, beta, rm, rv = _bn_parts(3)
     # [C=3, B=1, L=5]: one segment per channel is a degenerate batch however long L is
-    with pytest.raises(DegenerateBatchError, match="got 1"):
+    with pytest.raises(InputError, match="got 1"):
         batch_norm(Tensor(rng.standard_normal((3, 1, 5))), gamma, beta, rm, rv)
     # [C=1, B=5, L=4]: a single channel over a batch of five normalizes
     gamma, beta, rm, rv = _bn_parts(1)
@@ -632,7 +632,7 @@ def test_backward_rejects_nonscalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with tape_scope():
         y = mul(x, x)
-        with pytest.raises(RankError):
+        with pytest.raises(InputError):
             backward(y)
 
 
@@ -838,7 +838,7 @@ def test_tensor_invariants():
     assert t.size == 6 and t.shape == (2, 3)
     r = reshape(t, (3, 2))
     assert r.shape == (3, 2) and t.shape == (2, 3)
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError):
         reshape(t, (4, 2))
 
 

@@ -234,6 +234,16 @@ def test_predict_is_the_same_at_any_batch_size(tiny_segments):
         np.testing.assert_array_equal(predict(model, tiny_segments, batch_size), want, err_msg=str(batch_size))
 
 
+def test_predict_raises_on_non_finite_logits(tiny_segments):
+    """Finite weights whose product overflows: class 0 for every segment would
+    be the argmax of the inf/NaN logits."""
+    model = H2Model(tiny_model_config(variant="phm"), seed=0)
+    model.fusion.head.w.data[...] = 1e308
+    model.fusion.phms[0].weight.f.data[...] = 1e300
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(GradientError, match="eval logits are not finite"):
+        predict(model, tiny_segments)
+
+
 def test_train_is_deterministic(tiny_segments):
     cfg = _tiny_train_cfg()
     tr, te = split_segments(tiny_segments, cfg.target, cfg.train_frac, cfg.split_seed)
