@@ -29,6 +29,12 @@ then ReLU, with no batch-norm pass.  No stage then couples two segments, so
 each weight is built and folded once per forward and the conv stages run
 ``EVAL_CHUNK`` segments at a time: no conv intermediate is batch-sized.
 
+Every ReLU here is ``relu_``, written into the buffer it follows: the output
+of train-mode ``batch_norm``, of eval BN's final ``add``, of an eval conv
+stage's ``conv1d`` or of a fusion ``phm_linear``.  Each is fresh, only the
+ReLU reads it, and its producer's VJP never reads it, so a stage keeps one
+activation fewer and the gradients are those of a copying ``relu``.
+
 Checkpoint container: magic ``H2CK``, u32 version, u32 length + canonical
 JSON config block, u32 tensor count, then per tensor: u32 name length,
 name bytes, u32 rank, u32 dims, float64 little-endian data.
@@ -48,7 +54,8 @@ from .config import JsonConfig
 from .dataset import CLASSES, SEGMENT_SHAPES
 from .errors import ConfigError, FormatError, GradientError, InputError
 from .layers import BatchNorm1d, Dropout, PHCLayer, PHMLayer
-from .tensor import Tensor, concat, global_avg_pool, relu, reshape
+# ``relu`` is not called here; it stays bound because perfbench/probes.py probes hyperx.model.relu
+from .tensor import Tensor, concat, global_avg_pool, relu, relu_, reshape  # noqa: F401
 
 __all__ = [
     "VARIANTS",
@@ -189,12 +196,12 @@ class _Encoder:
             for start in range(0, x.shape[0] or 1, EVAL_CHUNK):  # an empty batch is one empty chunk
                 h = Tensor(x.data[start : start + EVAL_CHUNK].transpose(1, 0, 2))
                 for (layer, _), wb in zip(self.stages, wbs):
-                    h = relu(layer(h, wb))
+                    h = relu_(layer(h, wb))
                 pooled.append(global_avg_pool(h))
             return concat(pooled, axis=0)
         h = Tensor(x.data.transpose(1, 0, 2)) if self.conv else reshape(x, (x.shape[0], self.d_flat))
         for layer, bn in self.stages:
-            h = relu(bn(layer(h), train))
+            h = relu_(bn(layer(h), train))
         return global_avg_pool(h) if self.conv else h
 
     def submodules(self):
@@ -215,7 +222,7 @@ class _Fusion:
 
     def forward(self, h: Tensor, train: bool, rng) -> Tensor:
         for phm in self.phms:
-            h = relu(phm(self.dropout(h, train, rng)))
+            h = relu_(phm(self.dropout(h, train, rng)))
         logits = self.head(self.dropout(h, train, rng))
         # the argmax of NaN or inf logits would name one class for every segment
         if not train and not np.isfinite(logits.data).all():

@@ -29,9 +29,15 @@ backward: ``conv1d`` keeps its input (its im2col columns are rebuilt),
 ``batch_norm`` its input and the per-channel mean and 1/sigma (x-hat is
 rebuilt), and ``relu`` its output.  An op's input array must
 therefore not be written between the forward and the backward; ``linear``
-relies on this as well.  ``linear``, ``phm_linear``, ``conv1d`` and
-``batch_norm`` compute the gradient of x only if x requires grad, since x
-can be model data.
+relies on this as well.  ``relu_`` is the one op that writes its input: it
+puts relu(x) into x's buffer, so a ReLU after batch norm costs no array of
+its own.  That is sound only where x is a fresh op output that nothing else
+reads and whose producer's VJP does not read that output: ``batch_norm``
+rebuilds x-hat from its input, and ``conv1d``, ``linear``, ``phm_linear``
+and ``add`` keep only inputs or shapes.  ``relu`` copies, for leaves and
+user arrays.  ``linear``, ``phm_linear``, ``conv1d`` and ``batch_norm``
+compute the gradient of x only if x requires grad, since x can be model
+data.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ __all__ = [
     "reshape",
     "concat",
     "relu",
+    "relu_",
     "tensor_sum",
     "global_avg_pool",
     "conv1d",
@@ -269,10 +276,27 @@ def concat(tensors, axis: int = 1) -> Tensor:
     return _make_output(data, tensors, lambda g: tuple(np.split(g, offsets, axis=axis)))
 
 
-def relu(x: Tensor) -> Tensor:
+def _relu(x: Tensor, out: np.ndarray | None) -> Tensor:
     # the VJP rebuilds the x > 0 mask from the output: y > 0 exactly where x > 0
-    y = np.maximum(x.data, 0.0)
+    y = np.maximum(x.data, 0.0, out=out)
     return _make_output(y, (x,), lambda g: (g * (y > 0),))
+
+
+def relu(x: Tensor) -> Tensor:
+    return _relu(x, None)
+
+
+def relu_(x: Tensor) -> Tensor:
+    """``relu`` written into ``x``'s buffer: the output shares it, and ``x``
+    reads relu(x) from then on.
+
+    Only for a fresh op output that nothing else reads, whose producer's VJP
+    does not read its own output (``batch_norm``, ``conv1d``, ``linear``,
+    ``phm_linear`` and ``add`` keep inputs or shapes only).  A leaf or user
+    array would lose its values, and an output another op has taken as input
+    would change under that op's VJP.
+    """
+    return _relu(x, x.data)
 
 
 def tensor_sum(x: Tensor) -> Tensor:
@@ -500,6 +524,8 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     B, K = logits.data.shape
     if labels.shape != (B,):
         raise InputError(f"labels shape {labels.shape} does not match batch {B}")
+    if labels.dtype.kind not in "iu":
+        raise InputError(f"labels have dtype {labels.dtype}; want integers")
     labels = labels.astype(np.int64)
     if labels.min() < 0 or labels.max() >= K:
         bad = labels[(labels < 0) | (labels >= K)][0]

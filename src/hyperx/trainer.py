@@ -211,6 +211,8 @@ def compute_metrics(y_true, y_pred) -> MetricsReport:
 
 def predict(model: H2Model, segs: SegmentSet, batch_size: int = EVAL_BATCH_SIZE) -> np.ndarray:
     """Eval-mode class predictions for every segment; non-finite logits raise ``GradientError``."""
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     preds = []
     with no_grad():
         for start in range(0, len(segs), batch_size):

@@ -308,9 +308,10 @@ def test_eval_forward_holds_no_batch_sized_conv_intermediate():
 
 def test_train_step_keeps_one_copy_of_each_conv_stage_activation():
     """tracemalloc peak of one train forward and backward of the default phc
-    model at B=16: about 114 MB when conv1d keeps only its input and batch
-    norm its input and statistics, 166 MB when the tape also keeps each
-    conv's im2col columns and batch norm's x-hat."""
+    model at B=16: about 91 MB when conv1d keeps only its input, batch norm
+    its input and statistics, and ReLU writes into batch norm's output; 114 MB
+    when ReLU copies, and 166 MB when the tape also keeps each conv's im2col
+    columns and batch norm's x-hat."""
     model = H2Model(seed=0)
     batch = random_batch(np.random.default_rng(0), batch=16)
     labels = np.arange(16) % 3
@@ -323,6 +324,27 @@ def test_train_step_keeps_one_copy_of_each_conv_stage_activation():
     finally:
         tracemalloc.stop()
     assert peak < 140e6, f"{peak / 1e6:.0f} MB"
+
+
+def test_train_step_keeps_no_separate_relu_output_per_stage():
+    """The default phc model at B=16: ReLU writes into the buffer batch norm
+    (or a fusion PHM layer) returned, so a train forward ends holding about
+    53 MB and forward and backward peak at about 91 MB (76 MB and 114 MB when
+    each ReLU copies)."""
+    model = H2Model(seed=0)
+    batch = random_batch(np.random.default_rng(0), batch=16)
+    labels = np.arange(16) % 3
+    tracemalloc.start()
+    try:
+        with tape_scope():
+            logits = model.forward(**batch, train=True, rng=np.random.default_rng(1))
+            held = tracemalloc.get_traced_memory()[0]
+            backward(softmax_cross_entropy(logits, labels))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held < 65e6, f"{held / 1e6:.0f} MB held after the forward"
+    assert peak < 100e6, f"{peak / 1e6:.0f} MB peak"
 
 
 def test_first_layer_of_each_encoder_computes_no_gradient_for_the_model_input():

@@ -27,6 +27,7 @@ from hyperx.tensor import (
     no_grad,
     phm_linear,
     relu,
+    relu_,
     reshape,
     softmax_cross_entropy,
     tape_scope,
@@ -326,6 +327,32 @@ def test_relu_records_no_node_under_no_grad():
     assert len(tape) == 0 and not y.requires_grad
 
 
+def test_relu__writes_into_its_input_and_matches_relu_bit_for_bit():
+    rng = np.random.default_rng(4)
+    data = np.concatenate([rng.standard_normal(20), [-0.0, 0.0, 1e-300, -1e-300]])
+    g = Tensor(rng.standard_normal(data.size))
+    outs, grads = [], []
+    for op in (relu, relu_):
+        x = Tensor(data, requires_grad=True)
+        with tape_scope():
+            h = mul(x, Tensor(1.0))  # a fresh op output that only the relu reads
+            y = op(h)
+            backward(tensor_sum(mul(y, g)))
+        assert np.shares_memory(y.data, h.data) == (op is relu_)
+        outs.append(y.data.tobytes())
+        grads.append(x.grad.tobytes())
+    assert outs[0] == outs[1]
+    assert grads[0] == grads[1]
+
+
+def test_relu__grad_check():
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+    w, g = Tensor(rng.standard_normal((6, 5))), Tensor(rng.standard_normal((4, 6)))
+    report = grad_check(lambda t: tensor_sum(mul(relu_(linear(t, w)), g)), x, tol=1e-6)
+    assert report.passed, str(report)
+
+
 def test_global_avg_pool_means():
     x = Tensor(swap_bc(np.array([[[1.0, 1.0, 1.0, 1.0], [2.0, 4.0, 6.0, 8.0]]])))
     np.testing.assert_array_equal(global_avg_pool(x).data, [[1.0, 5.0]])
@@ -339,6 +366,12 @@ def test_softmax_cross_entropy_uniform():
 def test_softmax_cross_entropy_label_error():
     with pytest.raises(InputError):
         softmax_cross_entropy(Tensor(np.zeros((2, 3))), [0, 3])
+
+
+def test_softmax_cross_entropy_rejects_non_integer_labels():
+    # astype(int64) would score [0.7, 2.9] as [0, 2]
+    with pytest.raises(InputError, match="dtype float64; want integers"):
+        softmax_cross_entropy(Tensor(np.zeros((2, 3))), [0.7, 2.9])
 
 
 def test_concat_and_backward():
@@ -706,6 +739,7 @@ OP_CALLS = [
     ("reshape", lambda r, xg: reshape(_leaf(r, 4, 3, grad=xg), (3, 4))),
     ("concat", lambda r, xg: concat([_leaf(r, 2, 3, grad=xg), _leaf(r, 2, 1), _leaf(r, 2, 2)])),
     ("relu", lambda r, xg: relu(_leaf(r, 4, 3, grad=xg))),
+    ("relu_", lambda r, xg: relu_(_leaf(r, 4, 3, grad=xg))),
     ("tensor_sum", lambda r, xg: tensor_sum(_leaf(r, 4, 3, grad=xg))),
     ("global_avg_pool", lambda r, xg: global_avg_pool(_leaf(r, 3, 2, 5, grad=xg))),
     ("conv1d", lambda r, xg: conv1d(_leaf(r, 2, 3, 9, grad=xg), _leaf(r, 4, 2, 3), stride=2, padding=1)),

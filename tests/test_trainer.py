@@ -234,6 +234,14 @@ def test_predict_is_the_same_at_any_batch_size(tiny_segments):
         np.testing.assert_array_equal(predict(model, tiny_segments, batch_size), want, err_msg=str(batch_size))
 
 
+@pytest.mark.parametrize("batch_size", [0, -4])
+@pytest.mark.parametrize("run", [predict, lambda m, s, b: evaluate(m, s, "arousal", b)], ids=["predict", "evaluate"])
+def test_eval_batch_size_below_1_is_a_config_error(tiny_segments, run, batch_size):
+    model = H2Model(tiny_model_config(), seed=0)
+    with pytest.raises(ConfigError, match=f"batch_size must be >= 1, got {batch_size}"):
+        run(model, tiny_segments, batch_size)
+
+
 def test_predict_raises_on_non_finite_logits(tiny_segments):
     """Finite weights whose product overflows: class 0 for every segment would
     be the argmax of the inf/NaN logits."""
