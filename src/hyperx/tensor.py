@@ -4,13 +4,14 @@ Every differentiable operation appends one node to the active tape, so the
 tape's recording order is already a topological order of the graph.  A node
 holds the op's output, its inputs and one VJP that maps the output's
 gradient to one gradient per input, so work that two input gradients share
-is done once.  ``backward`` walks the tape once in reverse.  Gradients land
-on leaves only: a tensor that no node on the tape produced gets its
-gradient added onto ``grad``, while an intermediate gets none, and each
-intermediate's gradient is dropped as soon as its node has used it.
-Calling ``backward`` twice without resetting therefore accumulates leaf
-gradients (second call adds the same gradient again); use ``zero_grads`` or
-``clear_tape`` between steps.
+is done once.  ``backward`` walks the tape once in reverse and consumes it:
+it pops each node as the walk reaches it, so the node's output, inputs and
+saved arrays are freed once its VJP has run, and the tape is empty when
+``backward`` returns.  Gradients land on leaves only: a tensor that no node
+on the tape produced gets its gradient added onto ``grad``, while an
+intermediate gets none, and each intermediate's gradient is dropped as soon
+as its node has used it.  A second ``backward`` on a consumed tape raises;
+leaf gradients accumulate across tapes until ``zero_grads``.
 
 The engine is single-threaded per tape and supports exactly the operations
 the model stack needs: linear, the hypercomplex product ``phm_linear`` (x
@@ -200,19 +201,29 @@ def _make_output(data, inputs, vjp) -> Tensor:
 
 
 def backward(loss: Tensor):
-    """Add d(loss)/d(leaf) onto ``grad`` of every leaf reachable from ``loss``.
+    """Add d(loss)/d(leaf) onto ``grad`` of every leaf reachable from ``loss``,
+    consuming the active tape.
 
-    ``loss`` must be a single-element tensor recorded on the active tape.  A
-    leaf is a requires_grad tensor that no node on the tape produced; no other
-    tensor gets a ``grad``.  Each node output's gradient is popped when the
-    reverse walk reaches its node, so none outlives the node that used it.
+    ``loss`` must be a single-element tensor that a node on the active tape
+    produced; otherwise ``InputError`` is raised before the tape or any
+    ``grad`` is touched.  A leaf is a requires_grad tensor that no node on the
+    tape produced; no other tensor gets a ``grad``.  The reverse walk pops
+    every node off the tape, used or not, so each node's output, inputs and
+    VJP (with the arrays it saved) are freed once its VJP has run, and each
+    node output's gradient once its node has used it.  The tape is empty on
+    return: a second ``backward`` of the same loss raises, and leaf gradients
+    accumulate only across tapes, until ``zero_grads``.
     """
     if loss.data.size != 1:
         raise InputError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    if not loss.requires_grad:
-        return
+    nodes = active_tape().nodes
+    if not any(node.out is loss for node in nodes):
+        raise InputError(
+            "backward: no node on the active tape produced this loss (it needs no gradient, or its tape is closed or already consumed)"
+        )
     grads: dict[int, tuple[Tensor, np.ndarray]] = {id(loss): (loss, np.ones_like(loss.data))}
-    for node in reversed(active_tape().nodes):
+    while nodes:
+        node = nodes.pop()
         entry = grads.pop(id(node.out), None)
         if entry is None:
             continue
@@ -426,9 +437,11 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
         return dxp[:, :, padding : padding + L]
 
     def vjp(g):
-        dx = vjp_x(g) if x_grad else None  # its dcols is freed before im2col runs
-        # the columns are rebuilt so that the tape keeps x, not columns K/stride times its size
+        # the columns are rebuilt so that the tape keeps x, not columns K/stride
+        # times its size; dw comes first, so they and their padded copy of x
+        # are freed before dcols and dxp exist
         dw = (g.reshape(Cout, B * Lout) @ im2col().T).reshape(Cout, Cin, K)
+        dx = vjp_x(g) if x_grad else None
         return (dx, dw) if b is None else (dx, dw, g.sum(axis=(1, 2)))
 
     if b is not None:
@@ -642,7 +655,8 @@ def grad_check(
         y = f(x)
         if y.data.size != 1:
             raise InputError(f"grad_check needs a scalar-valued function, got shape {y.data.shape}")
-        backward(y)
+        if y.requires_grad:  # else f reads nothing that needs a gradient, and the gradient is 0
+            backward(y)
         analytic = x.grad.copy() if x.grad is not None else np.zeros_like(x.data)
     x.grad = saved
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import JsonConfig
 from .dataset import CLASSES, SPLIT_UNITS, TARGETS, SegmentSet, augment_segments
-from .errors import ConfigError, GradientError
+from .errors import ConfigError, GradientError, InputError
 from .model import H2Model, serialize_model
 from .tensor import clear_tape, no_grad, softmax_cross_entropy, zero_grads
 
@@ -187,8 +187,17 @@ class MetricsReport:
 
 
 def compute_metrics(y_true, y_pred) -> MetricsReport:
-    y_true = np.asarray(y_true, dtype=np.int64)
-    y_pred = np.asarray(y_pred, dtype=np.int64)
+    """Accuracy, macro-F1 and the confusion matrix of two 1-D integer label
+    arrays of one length with values in ``CLASSES``."""
+    y_true, y_pred = np.asarray(y_true), np.asarray(y_pred)
+    for name, y in (("y_true", y_true), ("y_pred", y_pred)):
+        if y.ndim != 1 or y.dtype.kind not in "iu":
+            raise InputError(f"{name} must be a 1-D integer array, got shape {y.shape} and dtype {y.dtype}")
+        bad = y[(y < 0) | (y >= len(CLASSES))]
+        if bad.size:
+            raise InputError(f"{name} label {bad[0]} outside [0, {len(CLASSES)})")
+    if y_true.shape != y_pred.shape:
+        raise InputError(f"y_true has {y_true.size} labels but y_pred has {y_pred.size}")
     cm = np.zeros((len(CLASSES), len(CLASSES)), dtype=np.int64)
     np.add.at(cm, (y_true, y_pred), 1)
     per_class = []

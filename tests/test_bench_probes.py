@@ -96,8 +96,9 @@ def test_probes_read_the_tape_of_a_train_backward():
         model_grads = {}
         with tape_scope() as tape:
             logits = model.forward(**batch, train=True, rng=np.random.default_rng(1))
-            tensor.softmax_cross_entropy(logits, labels).backward()
+            loss = tensor.softmax_cross_entropy(logits, labels)
             nodes = list(tape.nodes)
+            loss.backward()
         for name, p in model.named_parameters():
             model_grads[name], p.grad = p.grad, None
         return nodes, model_grads

@@ -261,10 +261,11 @@ def test_phm_n1_equals_dense_outputs_and_gradients():
     x2 = Tensor(x1.data.copy(), requires_grad=True)
     with tape_scope():
         y1 = relu(phm(x1))
-        y2 = relu(dense(x2))
-        np.testing.assert_allclose(y1.data, y2.data, atol=1e-12)
         backward(tensor_sum(y1))
+    with tape_scope():
+        y2 = relu(dense(x2))
         backward(tensor_sum(y2))
+    np.testing.assert_allclose(y1.data, y2.data, atol=1e-12)
     np.testing.assert_allclose(x1.grad, x2.grad, atol=1e-12)
     np.testing.assert_allclose(phm.weight.f.grad[0], dense.w.grad, atol=1e-12)
     np.testing.assert_allclose(phm.b.grad, dense.b.grad, atol=1e-12)
@@ -279,10 +280,12 @@ def test_phc_n1_equals_conv_outputs_and_gradients():
     x1 = Tensor(rng.standard_normal((2, 3, 14)).transpose(1, 0, 2), requires_grad=True)
     x2 = Tensor(x1.data.copy(), requires_grad=True)
     with tape_scope():
-        y1, y2 = relu(phc(x1)), relu(conv(x2))
-        np.testing.assert_allclose(y1.data, y2.data, atol=1e-12)
+        y1 = relu(phc(x1))
         backward(tensor_sum(y1))
+    with tape_scope():
+        y2 = relu(conv(x2))
         backward(tensor_sum(y2))
+    np.testing.assert_allclose(y1.data, y2.data, atol=1e-12)
     np.testing.assert_allclose(x1.grad, x2.grad, atol=1e-12)
     np.testing.assert_allclose(phc.weight.f.grad[0], conv.w.grad, atol=1e-12)
 

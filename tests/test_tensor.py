@@ -162,19 +162,29 @@ def test_phm_linear_matches_linear_over_the_built_weight(n, p, q, r, s, batch, b
         np.testing.assert_allclose(u, v, rtol=0, atol=1e-12 * np.abs(v).max(), err_msg=name)
 
 
+def _second_vjp_and_fresh_vjp(op, g1, g2):
+    """The VJP of the node ``op()`` records, called with g1 and then g2, and
+    the VJP of a fresh node of the same op called with g2 alone."""
+    vjps = []
+    for _ in range(2):
+        with tape_scope() as tape:
+            op()
+            (node,) = tape.nodes
+        vjps.append(node.vjp)
+    first, second = vjps[0](g1), vjps[0](g2)
+    return first, second, vjps[1](g2)
+
+
 def test_phm_linear_second_backward_does_not_reuse_first_upstream():
     rng = np.random.default_rng(16)
     x = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
     a = Tensor(rng.standard_normal((2, 2, 2)), requires_grad=True)
     f = Tensor(rng.standard_normal((2, 3, 3)), requires_grad=True)
-    g1, g2 = (Tensor(rng.standard_normal((3, 6))) for _ in range(2))
-    want = _output_and_grads(_built_weight_linear, x, a, f, None, g2)[1:]
-    with tape_scope():
-        y = phm_linear(x, a, f)
-        for g in (g1, g2):
-            zero_grads([x, a, f])
-            backward(tensor_sum(mul(y, g)))
-    for got, w in zip((x.grad, a.grad, f.grad), want):
+    g1, g2 = (rng.standard_normal((3, 6)) for _ in range(2))
+    want = _output_and_grads(_built_weight_linear, x, a, f, None, Tensor(g2))[1:]
+    _, second, alone = _second_vjp_and_fresh_vjp(lambda: phm_linear(x, a, f), g1, g2)
+    for got, fresh, w in zip(second, alone, want):
+        np.testing.assert_array_equal(got, fresh)
         np.testing.assert_allclose(got, w, rtol=0, atol=1e-12 * np.abs(w).max())
 
 
@@ -513,32 +523,22 @@ def test_batch_norm_grad_check_with_one_upstream_for_all_inputs(shape, train):
 @pytest.mark.parametrize("shape", BN_SHAPES)
 def test_batch_norm_second_backward_does_not_reuse_first_upstream(shape):
     rng = np.random.default_rng(15)
-    x_data = rng.standard_normal(shape)
-    g1, g2 = rng.standard_normal(shape), rng.standard_normal(shape)
+    x = Tensor(bn_layout(rng.standard_normal(shape)), requires_grad=True)
+    gamma = Tensor(np.linspace(0.5, 1.5, shape[1]), requires_grad=True)
+    beta = Tensor(np.zeros(shape[1]), requires_grad=True)
+    g1, g2 = bn_layout(rng.standard_normal(shape)), bn_layout(rng.standard_normal(shape))
 
-    def grads(upstreams):
-        x = Tensor(bn_layout(x_data), requires_grad=True)
-        gamma = Tensor(np.linspace(0.5, 1.5, shape[1]), requires_grad=True)
-        beta = Tensor(np.zeros(shape[1]), requires_grad=True)
-        rm, rv = np.zeros(shape[1]), np.ones(shape[1])
-        out = []
-        with tape_scope():
-            y = batch_norm(x, gamma, beta, rm, rv)
-            for g in upstreams:
-                zero_grads([x, gamma, beta])
-                backward(tensor_sum(mul(y, Tensor(bn_layout(g)))))
-                out.append((x.grad, gamma.grad, beta.grad))
-        return out
+    def op():
+        return batch_norm(x, gamma, beta, np.zeros(shape[1]), np.ones(shape[1]))
 
-    first, second = grads([g1, g2])
-    (alone,) = grads([g2])
+    first, second, alone = _second_vjp_and_fresh_vjp(op, g1, g2)
     for got, want in zip(second, alone):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
     assert not np.allclose(first[0], second[0])
 
 
 @pytest.mark.parametrize("shape", BN_SHAPES)
-def test_batch_norm_backward_twice_on_one_tape_adds_the_same_gradient(shape):
+def test_batch_norm_backward_on_two_tapes_adds_the_same_gradient(shape):
     rng = np.random.default_rng(18)
     x_data = rng.standard_normal(shape)
     x = Tensor(bn_layout(x_data), requires_grad=True)
@@ -552,13 +552,15 @@ def test_batch_norm_backward_twice_on_one_tape_adds_the_same_gradient(shape):
     xhat = (x_data - mean(x_data)) / sigma
     gamma_c = gamma.data.reshape((1, -1) if len(shape) == 2 else (1, -1, 1))
     want = (gamma_c / sigma * (g - mean(g) - xhat * mean(g * xhat)), (g * xhat).sum(axis=axes), g.sum(axis=axes))
-    with tape_scope():
-        y = batch_norm(x, gamma, beta, np.zeros(shape[1]), np.ones(shape[1]))
-        loss = tensor_sum(mul(y, Tensor(bn_layout(g))))
-        for passes in (1, 2):
+    for passes in (1, 2):
+        with tape_scope():
+            y = batch_norm(x, gamma, beta, np.zeros(shape[1]), np.ones(shape[1]))
+            loss = tensor_sum(mul(y, Tensor(bn_layout(g))))
             backward(loss)
-            for got, w in zip((bn_layout(x.grad), gamma.grad, beta.grad), want):
-                np.testing.assert_allclose(got, passes * w, rtol=1e-10, atol=1e-12)
+            with pytest.raises(InputError, match="active tape"):
+                backward(loss)
+        for got, w in zip((bn_layout(x.grad), gamma.grad, beta.grad), want):
+            np.testing.assert_allclose(got, passes * w, rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(64, 3), (16, 4, 300)])
@@ -651,14 +653,46 @@ def test_backward_elementwise_square():
 
 def test_backward_accumulates_until_reset():
     x = Tensor([2.0], requires_grad=True)
-    with tape_scope():
-        loss = tensor_sum(mul(x, x))
-        backward(loss)
-        np.testing.assert_allclose(x.grad, [4.0])
-        backward(loss)
-        np.testing.assert_allclose(x.grad, [8.0])
+    for want in ([4.0], [8.0]):
+        with tape_scope():
+            loss = tensor_sum(mul(x, x))
+            backward(loss)
+            with pytest.raises(InputError, match="active tape"):
+                backward(loss)
+        np.testing.assert_allclose(x.grad, want)
     zero_grads([x])
     assert x.grad is None
+
+
+def test_backward_consumes_the_tape_and_rejects_a_loss_it_does_not_hold():
+    x = Tensor([2.0], requires_grad=True)
+    with tape_scope() as tape:
+        loss = tensor_sum(mul(x, x))
+        unused = mul(x, Tensor(3.0))
+        backward(loss)
+        assert len(tape) == 0 and unused.grad is None
+        # consumed tape: nothing is popped and no grad changes
+        tensor_sum(mul(x, Tensor(5.0)))
+        with pytest.raises(InputError, match="active tape"):
+            backward(loss)
+        assert len(tape) == 2 and loss.grad is None
+    np.testing.assert_allclose(x.grad, [4.0])
+    # closed scope: the loss is on no active tape
+    with tape_scope():
+        closed = tensor_sum(mul(x, x))
+    with tape_scope() as tape:
+        mul(x, x)
+        with pytest.raises(InputError, match="active tape"):
+            backward(closed)
+        assert len(tape) == 1
+    np.testing.assert_allclose(x.grad, [4.0])
+    assert closed.grad is None
+    # neither a leaf nor an output made under no_grad is a node's output
+    with no_grad():
+        frozen = tensor_sum(mul(x, x))
+    for loss in (Tensor([1.0], requires_grad=True), frozen):
+        with pytest.raises(InputError, match="active tape"):
+            backward(loss)
 
 
 def test_backward_rejects_nonscalar():
@@ -693,8 +727,9 @@ def test_backward_gives_a_grad_to_leaves_only():
     w = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
     with tape_scope() as tape:
         h = linear(x, w)
-        backward(tensor_sum(mul(relu(h), Tensor(3.0))))
+        loss = tensor_sum(mul(relu(h), Tensor(3.0)))
         intermediates = [node.out for node in tape.nodes]
+        backward(loss)
     assert len(intermediates) == 4
     assert all(t.grad is None for t in intermediates)
     # d/dh of sum(3 relu(h)) is 3 where h > 0; h = x @ w.T
@@ -819,6 +854,12 @@ def test_grad_check_sum_is_exact():
     assert report.max_rel_err < 1e-9
 
 
+def test_grad_check_of_a_function_constant_in_x_finds_a_zero_gradient():
+    x = Tensor(np.ones(3), requires_grad=True)
+    report = grad_check(lambda _t: tensor_sum(Tensor(np.arange(3.0))), x)
+    assert report.passed and report.max_rel_err == 0.0 and x.grad is None
+
+
 def test_grad_check_composite_graph():
     rng = np.random.default_rng(8)
     w1 = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
@@ -893,5 +934,7 @@ def test_parallel_eval_threads_do_not_share_tape_state():
     assert len(results) == 16
     # the main thread's recording state is untouched
     with tape_scope() as t:
-        backward(tensor_sum(mul(w, w)))
+        loss = tensor_sum(mul(w, w))
         assert len(t) == 2
+        backward(loss)
+        assert len(t) == 0

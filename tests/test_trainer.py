@@ -3,7 +3,7 @@ import pytest
 
 from hyperx import trainer
 from hyperx.dataset import split_segments
-from hyperx.errors import ConfigError, GradientError
+from hyperx.errors import ConfigError, GradientError, InputError
 from hyperx.model import EVAL_CHUNK, H2Model, deserialize_model
 from hyperx.trainer import (
     Adam,
@@ -203,6 +203,22 @@ def test_metrics_confusion_matrix_identities():
     assert np.trace(cm) / cm.sum() == pytest.approx(report.accuracy)
     for c in range(3):
         assert cm[c].sum() == report.per_class[c]["support"] == (y_true == c).sum()
+
+
+@pytest.mark.parametrize(
+    "y_true,y_pred,match",
+    [
+        ([-1, 0, 1], [0, 0, 1], "y_true label -1 outside"),
+        ([0.7, 1.2, 2], [0, 1, 2], "y_true must be a 1-D integer array"),
+        ([0, 1], [0], "2 labels but y_pred has 1"),
+        ([0, 1, 2], [0, 1, 3], "y_pred label 3 outside"),
+        ([[0, 1], [2, 0]], [[0, 1], [2, 0]], "y_true must be a 1-D"),
+    ],
+    ids=["negative", "float", "lengths-differ", "past-last-class", "2-d"],
+)
+def test_metrics_reject_bad_labels(y_true, y_pred, match):
+    with pytest.raises(InputError, match=match):
+        compute_metrics(y_true, y_pred)
 
 
 # ---------------------------------------------------------------------------
