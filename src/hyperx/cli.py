@@ -134,15 +134,13 @@ def cmd_synth(args) -> int:
 
 
 def _load_segments_any(path, preprocess_cfg=None):
-    """Accept a raw dataset directory or a preprocessed .npz archive."""
+    """Accept a raw dataset directory or, under any file name, a preprocessed segment archive."""
     p = Path(path)
     if p.is_dir():
         raw = ds.load_dataset(p)
         return sigproc.preprocess_dataset(raw, preprocess_cfg), p
-    if p.suffix == ".npz":
-        segs, _ = ds.load_segments(p)
-        return segs, None
-    raise FormatError(f"{p} is neither a dataset directory nor a .npz segment archive")
+    segs, _ = ds.load_segments(p)
+    return segs, None
 
 
 def cmd_preprocess(args) -> int:
@@ -194,6 +192,9 @@ def cmd_train(args) -> int:
         seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [train_cfg.seed]
     except ValueError:
         raise ConfigError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
+    repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+    if repeated:
+        raise ConfigError(f"--seeds lists seed {repeated[0]} more than once, got {args.seeds!r}")
     variants = list(VARIANTS) if args.sweep_variants else [model_cfg.variant]
 
     segs, raw_path = _load_segments_any(args.data, pre_cfg)
@@ -436,7 +437,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train", help="train the classifier", argument_default=argparse.SUPPRESS)
-    p.add_argument("--data", required=True, help="raw dataset directory or preprocessed .npz")
+    p.add_argument("--data", required=True, help="raw dataset directory or preprocessed segment archive")
     p.add_argument("--out", required=True)
     p.add_argument("--target", choices=ds.TARGETS)
     p.add_argument("--variant", choices=VARIANTS)

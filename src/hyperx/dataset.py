@@ -522,13 +522,14 @@ def manifest_hash(path) -> str:
 
 
 def save_segments(segs: SegmentSet, path, meta: dict | None = None):
-    """Cache preprocessed segments as an .npz archive: every SegmentSet field
-    (signals as float32, labels and subjects as int64) plus ``meta`` as JSON bytes."""
+    """Cache preprocessed segments as an .npz archive at exactly ``path``: every SegmentSet
+    field (signals as float32, labels and subjects as int64) plus ``meta`` as JSON bytes."""
     arrays = {f.name: getattr(segs, f.name) for f in fields(SegmentSet)}
     for name in arrays.keys() - {"trial_ids"}:
         arrays[name] = arrays[name].astype(np.float32 if name in SEGMENT_SHAPES else np.int64)
     meta_bytes = np.frombuffer(json.dumps(meta or {}, sort_keys=True).encode(), dtype=np.uint8)
-    np.savez(path, **arrays, meta=meta_bytes)
+    with open(path, "wb") as f:  # np.savez appends .npz to a path, never to an open file
+        np.savez(f, **arrays, meta=meta_bytes)
 
 
 def load_segments(path) -> tuple[SegmentSet, dict]:

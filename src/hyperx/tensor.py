@@ -11,7 +11,10 @@ saved arrays are freed once its VJP has run, and the tape is empty when
 on the tape produced gets its gradient added onto ``grad``, while an
 intermediate gets none, and each intermediate's gradient is dropped as soon
 as its node has used it.  A second ``backward`` on a consumed tape raises;
-leaf gradients accumulate across tapes until ``zero_grads``.
+leaf gradients accumulate across tapes until ``zero_grads``.  Three
+things decide a tape's lifetime and nothing else touches one: ``tape_scope``
+pushes a fresh tape and pops it on exit, ``no_grad`` stops recording, and
+``backward`` consumes the active tape.
 
 The engine is single-threaded per tape and supports exactly the operations
 the model stack needs: linear, the hypercomplex product ``phm_linear`` (x
@@ -57,7 +60,6 @@ __all__ = [
     "Tape",
     "active_tape",
     "tape_scope",
-    "clear_tape",
     "no_grad",
     "backward",
     "zero_grads",
@@ -170,10 +172,6 @@ def tape_scope():
         yield t
     finally:
         _STATE.tapes.pop()
-
-
-def clear_tape():
-    active_tape().nodes.clear()
 
 
 @contextlib.contextmanager

@@ -6,6 +6,11 @@ final_div_factor); Adam's beta1 moves inversely between momentum_max and
 momentum_min.  pct_start defaults to 0.475 so that both linear slopes stay
 below 2 * max_lr / total_steps; the warm-up fraction is configurable.
 
+Each epoch cuts a fresh shuffle into batches; a lone trailing segment joins
+the batch before it, and the same partition sets the schedule's length, so
+the schedule spans exactly the steps the run takes.  Each step records on a
+tape of its own (``tape_scope``), which leaves a caller's tape untouched.
+
 Training evaluates the held-out split after each epoch.  The best epoch
 is the first one with the highest test macro-F1; its checkpoint is kept,
 and training stops once ``patience`` epochs have passed without a new
@@ -27,7 +32,7 @@ from .config import JsonConfig
 from .dataset import CLASSES, SPLIT_UNITS, TARGETS, SegmentSet, augment_segments
 from .errors import ConfigError, GradientError, InputError
 from .model import H2Model, serialize_model
-from .tensor import clear_tape, no_grad, softmax_cross_entropy, zero_grads
+from .tensor import no_grad, softmax_cross_entropy, tape_scope, zero_grads
 
 __all__ = [
     "TrainConfig",
@@ -260,9 +265,8 @@ class TrainResult:
         return "\n".join(lines) + "\n"
 
 
-def _batches(n: int, batch_size: int, rng: np.random.Generator):
-    order = rng.permutation(n)
-    out = [order[s : s + batch_size] for s in range(0, n, batch_size)]
+def _batches(order: np.ndarray, batch_size: int) -> list:
+    out = [order[s : s + batch_size] for s in range(0, len(order), batch_size)]
     if len(out) > 1 and out[-1].size == 1:
         # batch norm cannot standardize a single sample
         out[-2] = np.concatenate([out[-2], out[-1]])
@@ -293,38 +297,31 @@ def train(
     dropout_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3]))
 
     optimizer = Adam(model.named_parameters(), beta2=cfg.beta2, eps=cfg.eps)
-    steps_per_epoch = math.ceil(len(train_segs) / cfg.batch_size)
-    total_steps = max(cfg.epochs * steps_per_epoch, 3)
+    n = len(train_segs)
+    total_steps = max(cfg.epochs * len(_batches(np.arange(n), cfg.batch_size)), 3)
 
     history = []
     best = None  # (checkpoint, epoch, test metrics) of the best epoch, as TrainResult orders them
-    aborted = None
     step = 0
     labels_all = train_segs.labels(cfg.target)
 
     for epoch in range(1, cfg.epochs + 1):
         epoch_segs = augment_segments(train_segs, augment_rng) if cfg.augment else train_segs
         losses = []
-        lr = beta1 = None
-        for idx in _batches(len(train_segs), cfg.batch_size, shuffle_rng):
-            clear_tape()
+        for idx in _batches(shuffle_rng.permutation(n), cfg.batch_size):
             optimizer.zero_grads()
-            logits = model.forward_segments(epoch_segs, idx, train=True, rng=dropout_rng)
-            loss = softmax_cross_entropy(logits, labels_all[idx])
-            loss_val = loss.item()
-            if not math.isfinite(loss_val):
-                aborted = "nan-loss"
-                break
-            loss.backward()
+            with tape_scope():
+                logits = model.forward_segments(epoch_segs, idx, train=True, rng=dropout_rng)
+                loss = softmax_cross_entropy(logits, labels_all[idx])
+                losses.append(loss.item())
+                if not math.isfinite(losses[-1]):
+                    if best is None:
+                        raise GradientError(f"non-finite loss at epoch {epoch}, step {step + 1}, before any epoch finished")
+                    return TrainResult(*best, history=history, epochs_run=len(history), aborted="nan-loss")
+                loss.backward()
             lr, beta1 = one_cycle(step, total_steps, cfg)
             optimizer.step(lr, beta1)
             step += 1
-            losses.append(loss_val)
-        clear_tape()
-        if aborted:
-            if best is None:
-                raise GradientError(f"non-finite loss at epoch {epoch}, step {step + 1}, before any epoch finished")
-            break
 
         test_metrics = evaluate(model, test_segs, cfg.target)
         record = {
@@ -348,4 +345,4 @@ def train(
         if epoch - best[1] >= cfg.patience:
             break
 
-    return TrainResult(*best, history=history, epochs_run=len(history), aborted=aborted)
+    return TrainResult(*best, history=history, epochs_run=len(history))

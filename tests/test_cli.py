@@ -110,9 +110,11 @@ def test_train_outputs(trained_dir):
     assert run["resolved_config"]["train"]["epochs"] == 2
 
 
-def test_train_accepts_preprocessed_npz(tmp_path, raw_dir, config_file):
-    segs_path = tmp_path / "segs.npz"
+def test_train_accepts_preprocessed_npz(tmp_path, raw_dir, config_file, capsys):
+    segs_path = tmp_path / "segs"  # any file name: preprocess writes exactly this path
     assert main(["preprocess", "--data", str(raw_dir), "--out", str(segs_path)]) == 0
+    assert segs_path.is_file()
+    assert not (tmp_path / "segs.npz").exists()
     out = tmp_path / "run_npz"
     code = main(
         ["train", "--data", str(segs_path), "--out", str(out), "--variant", "phc",
@@ -120,6 +122,10 @@ def test_train_accepts_preprocessed_npz(tmp_path, raw_dir, config_file):
     )
     assert code == 0
     assert (out / "checkpoint.h2ck").exists()
+    notes = tmp_path / "notes.txt"
+    notes.write_text("not an archive")
+    assert main(["train", "--data", str(notes), "--out", str(tmp_path / "o")]) == 2
+    assert f"segment archive {notes} is not a readable .npz" in capsys.readouterr().err
 
 
 def test_train_determinism_via_cli(tmp_path, raw_dir, config_file, trained_dir):
@@ -220,10 +226,18 @@ def test_multi_seed_summary(tmp_path, raw_dir, config_file):
     assert (out / "variant_phc_seed_2" / "checkpoint.h2ck").exists()
 
 
-@pytest.mark.parametrize("seeds", ["1,x", ","])
-def test_malformed_seeds_is_usage_error(tmp_path, raw_dir, capsys, seeds):
+@pytest.mark.parametrize(
+    "seeds,match",
+    [
+        ("1,x", "--seeds must be comma-separated integers"),
+        (",", "--seeds must be comma-separated integers"),
+        ("1,2,1", "--seeds lists seed 1 more than once, got '1,2,1'"),
+    ],
+    ids=["1,x", ",", "1,2,1"],
+)
+def test_malformed_seeds_is_usage_error(tmp_path, raw_dir, capsys, seeds, match):
     assert main(["train", "--data", str(raw_dir), "--out", str(tmp_path / "o"), "--seeds", seeds]) == 1
-    assert "--seeds must be comma-separated integers" in capsys.readouterr().err
+    assert match in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

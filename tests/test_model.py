@@ -24,7 +24,6 @@ from hyperx.tensor import (
     Tensor,
     add,
     backward,
-    clear_tape,
     global_avg_pool,
     linear,
     mul,
@@ -145,7 +144,6 @@ def test_gradients_reach_every_parameter(variant):
     for name, p in model.named_parameters():
         assert p.grad is not None, f"{name} got no gradient"
         assert np.any(p.grad != 0), f"{name} gradient is all zeros"
-    clear_tape()
 
 
 def _step(model, batch):

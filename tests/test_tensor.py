@@ -1,4 +1,6 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from hyperx.tensor import (
     add,
     backward,
     batch_norm,
-    clear_tape,
     concat,
     conv1d,
     dropout,
@@ -796,7 +797,7 @@ OP_CALLS = [
     ("kron_sum_taps", lambda r, xg: kron_sum_taps(_leaf(r, 2, 2, 2, grad=xg), _leaf(r, 2, 3, 3, 4))),
 ]
 NOT_OPS = {
-    "Tensor", "Tape", "active_tape", "tape_scope", "clear_tape", "no_grad", "backward", "zero_grads",
+    "Tensor", "Tape", "active_tape", "tape_scope", "no_grad", "backward", "zero_grads",
     "BN_EPS", "grad_check", "GradCheckReport",
 }
 
@@ -812,6 +813,24 @@ def _record(call, x_grad):
 
 def test_every_exported_op_has_a_contract_case():
     assert {case.split("-")[0] for case, _ in OP_CALLS} == set(tensor.__all__) - NOT_OPS
+
+
+# Only tape_scope, no_grad and backward decide a tape's lifetime, so no other module names a tape.
+TAPE_INTERNALS = {"active_tape", "Tape", "_STATE", "clear_tape"}
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in Path(tensor.__file__).parent.glob("*.py") if p.name != "tensor.py"),
+    ids=lambda p: p.name,
+)
+def test_only_the_tensor_module_names_a_tape(path):
+    bad = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        if name in TAPE_INTERNALS:
+            bad.append(f"line {node.lineno}: {name}")
+    assert not bad
 
 
 @pytest.mark.parametrize("call", [call for _, call in OP_CALLS], ids=[case for case, _ in OP_CALLS])

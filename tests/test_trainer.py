@@ -5,6 +5,7 @@ from hyperx import trainer
 from hyperx.dataset import split_segments
 from hyperx.errors import ConfigError, GradientError, InputError
 from hyperx.model import EVAL_CHUNK, H2Model, deserialize_model
+from hyperx.tensor import Tensor, backward, relu, tape_scope, tensor_sum
 from hyperx.trainer import (
     Adam,
     MetricsReport,
@@ -322,6 +323,28 @@ def test_train_config_validation():
         TrainConfig(patience=100, epochs=50).validate()
     with pytest.raises(ConfigError):
         TrainConfig(target="both").validate()
+
+
+def test_schedule_reaches_its_last_anchor_when_the_last_batch_merges(tiny_segments):
+    # 15 segments at batch 14: the lone 15th joins the first batch, so each epoch takes one step
+    cfg = _tiny_train_cfg(epochs=3, patience=3, batch_size=14)
+    tr, te = split_segments(tiny_segments, cfg.target, cfg.train_frac, cfg.split_seed)
+    result = train(H2Model(tiny_model_config(variant="linear"), seed=0), tr.take(np.arange(15)), te, cfg)
+    assert result.epochs_run == 3
+    assert result.history[-1]["lr_last"] == cfg.max_lr / (cfg.div_factor * cfg.final_div_factor)
+
+
+def test_train_leaves_the_callers_tape_alone(tiny_segments):
+    cfg = _tiny_train_cfg(epochs=1, patience=1)
+    tr, te = split_segments(tiny_segments, cfg.target, cfg.train_frac, cfg.split_seed)
+    x = Tensor(np.array([-1.0, 2.0, 3.0]), requires_grad=True)
+    with tape_scope() as tape:
+        loss = tensor_sum(relu(x))
+        assert len(tape) == 2
+        train(H2Model(tiny_model_config(variant="linear"), seed=0), tr, te, cfg)
+        assert len(tape) == 2
+        backward(loss)
+    np.testing.assert_array_equal(x.grad, [0.0, 1.0, 1.0])
 
 
 def _train_on_scripted_scores(monkeypatch, segs, scores, epochs, patience):
