@@ -5,8 +5,9 @@ Subcommands: synth, preprocess, train, eval, gradcheck.  Exit codes:
 2 a ``FormatError`` (a stored file) or a path the OS rejects, 3 check
 failure; ``hyperx.errors`` tables the error types.
 
-Every run writes a run.json capturing the fully resolved configuration and
-a content hash of the dataset manifest when one is involved.  Config
+Every run writes a run.json capturing the fully resolved configuration, a
+content hash of the dataset manifest when one is involved, and the
+environment (Python, numpy, scipy and BLAS versions, CPU count).  Config
 precedence is defaults < --config file < explicit flags.  A flag that sets a
 config field stores under the field's own name and is absent unless given.
 """
@@ -16,11 +17,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import platform
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import dataset as ds
 from . import sigproc
@@ -61,6 +65,16 @@ def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps({"schema_version": _SCHEMA_VERSION, **payload}, indent=1, sort_keys=True))
 
 
+def _environment() -> dict:
+    """The versions and machine that produced a run's bytes."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict mode; a build may not name its BLAS
+        blas = {}
+    return {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")}, "cpu_count": os.cpu_count()}
+
+
 def _write_run_json(outdir: Path, command: str, resolved: dict, data_path=None, results=None):
     manifest_sha = None
     if data_path is not None:
@@ -73,6 +87,7 @@ def _write_run_json(outdir: Path, command: str, resolved: dict, data_path=None, 
             "command": command,
             "resolved_config": resolved,
             "dataset": {"path": str(data_path) if data_path else None, "manifest_sha256": manifest_sha},
+            "environment": _environment(),
             "results": results or {},
         },
     )
@@ -254,9 +269,12 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     pre_cfg = _load_config_file(args)["preprocess"]
     model, extra = load_checkpoint(args.checkpoint)
+    saved = extra.get("train_config", {})
+    # the test split is stratified by target: another target re-derives one that holds training segments
+    if isinstance(saved, dict) and "target" in saved and getattr(args, "target", saved["target"]) != saved["target"]:
+        raise ConfigError(f"--target {args.target} differs from the checkpoint's trained target {saved['target']}")
     try:
-        train_cfg = TrainConfig.from_dict(extra.get("train_config", {}), "checkpoint train_config",
-                                          **_flags(TrainConfig, args))
+        train_cfg = TrainConfig.from_dict(saved, "checkpoint train_config", **_flags(TrainConfig, args))
     except ConfigError as e:
         raise FormatError(f"checkpoint train_config: {e}") from e
     segs, raw_path = _load_segments_any(args.data, pre_cfg)

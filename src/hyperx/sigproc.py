@@ -21,11 +21,11 @@ padding of three filter lengths at each end.
 Steps 1-7 are one function of a trial's arrays, [C, L], or of a block of
 trials stacked to [N, C, L]: every step works on the last two axes, and
 filtering is independent per row, so a block gives bitwise the same
-result as its trials one at a time.  ``preprocess_dataset`` runs the chain
-once per block of ``BLOCK_TRIALS`` consecutive trials, which designs each
-filter and sets up each ``sosfiltfilt`` once per block instead of once per
-trial.  A block is kept small because its float64 intermediates live
-together: stacking all trials at once doubled peak memory.
+result as its trials one at a time.  ``preprocess_dataset`` designs each
+of the chain's five filters once per call, then runs one filter pass per
+block of ``BLOCK_TRIALS`` consecutive trials.  A block is kept small
+because its float64 intermediates live together: stacking all trials at
+once doubled peak memory.
 """
 
 from __future__ import annotations
@@ -111,15 +111,20 @@ def apply_filter(x: np.ndarray, spec: IIRFilterSpec, fs: float) -> np.ndarray:
     return _zero_phase(spec.design_sos(fs), np.asarray(x, dtype=np.float64))
 
 
+def _anti_alias(fs: float) -> IIRFilterSpec:
+    """The anti-alias filter of a 2x decimation: 8th-order Butterworth at 0.8 * the new Nyquist."""
+    return IIRFilterSpec("lowpass", high=0.8 * (fs / 4.0), order=8)
+
+
+def _decimate(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Zero-phase ``sos`` then every second sample; an odd trailing sample is truncated."""
+    return _zero_phase(sos, x[..., : x.shape[-1] // 2 * 2])[..., ::2]
+
+
 def downsample_by2(x: np.ndarray, fs: float = 256.0) -> np.ndarray:
     """Anti-alias (8th-order Butterworth at 0.8 * new Nyquist, zero phase)
     then keep every second sample.  Odd trailing samples are truncated."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] % 2:
-        x = x[..., :-1]
-    cutoff = 0.8 * (fs / 4.0)
-    sos = sps.butter(8, cutoff, btype="lowpass", fs=fs, output="sos")
-    return _zero_phase(sos, x)[..., ::2]
+    return _decimate(_anti_alias(fs).design_sos(fs), np.asarray(x, dtype=np.float64))
 
 
 def average_reference(eeg: np.ndarray) -> np.ndarray:
@@ -200,35 +205,48 @@ class PreprocessedTrial:
     eye: np.ndarray  # [4,  30 s * 60]
 
 
-def _chain(eeg, ecg, gsr, eye, pre_trial_ms: int, cfg: PreprocessConfig):
+def _design_filters(cfg: PreprocessConfig) -> dict:
+    """The SOS arrays of ``cfg``'s five distinct filters, keyed by role; ``sosfiltfilt`` never writes them."""
+    fs = float(TARGET_RATE)
+    return {
+        "gsr_lowpass": IIRFilterSpec("lowpass", high=cfg.gsr_lowpass_hz, order=cfg.filter_order).design_sos(256.0),
+        "anti_alias": _anti_alias(256.0).design_sos(256.0),
+        "eeg_band": IIRFilterSpec("bandpass", *cfg.eeg_band, order=cfg.filter_order).design_sos(fs),
+        "ecg_band": IIRFilterSpec("bandpass", *cfg.ecg_band, order=cfg.filter_order).design_sos(fs),
+        "notch": IIRFilterSpec("notch", high=cfg.notch_hz, notch_q=cfg.notch_q).design_sos(fs),
+    }
+
+
+def _chain(eeg, ecg, gsr, eye, pre_trial_ms: int, cfg: PreprocessConfig, sos: dict):
     """Steps 1-7 of the module docstring on one trial's [C, L] arrays or a
-    block's [N, C, L] arrays; returns (eeg, ecg, gsr, eye) of the trial portion."""
+    block's [N, C, L] arrays, with ``sos = _design_filters(cfg)``; returns
+    (eeg, ecg, gsr, eye) of the trial portion."""
     pre128 = int(round(TARGET_RATE * pre_trial_ms / 1000.0))
     pre60 = int(round(EYE_RATE * pre_trial_ms / 1000.0))
     if pre128 < round(cfg.baseline_ms / 1000.0 * TARGET_RATE):
         raise ConfigError(f"pre_trial_ms={pre_trial_ms} is shorter than the GSR baseline, baseline_ms={cfg.baseline_ms}")
+    eeg, ecg, gsr = (np.asarray(x, dtype=np.float64) for x in (eeg, ecg, gsr))
 
-    gsr = apply_filter(gsr, IIRFilterSpec("lowpass", high=cfg.gsr_lowpass_hz, order=cfg.filter_order), 256.0)
+    gsr = _zero_phase(sos["gsr_lowpass"], gsr)
 
-    eeg = downsample_by2(eeg, 256.0)
-    ecg = downsample_by2(ecg, 256.0)
-    gsr = downsample_by2(gsr, 256.0)
+    eeg = _decimate(sos["anti_alias"], eeg)
+    ecg = _decimate(sos["anti_alias"], ecg)
+    gsr = _decimate(sos["anti_alias"], gsr)
 
-    eeg = average_reference(eeg)
-    eeg = apply_filter(eeg, IIRFilterSpec("bandpass", *cfg.eeg_band, order=cfg.filter_order), float(TARGET_RATE))
-    ecg = apply_filter(ecg, IIRFilterSpec("bandpass", *cfg.ecg_band, order=cfg.filter_order), float(TARGET_RATE))
+    eeg = _zero_phase(sos["eeg_band"], average_reference(eeg))
+    ecg = _zero_phase(sos["ecg_band"], ecg)
 
-    notch = IIRFilterSpec("notch", high=cfg.notch_hz, notch_q=cfg.notch_q)
-    eeg = apply_filter(eeg, notch, float(TARGET_RATE))
-    ecg = apply_filter(ecg, notch, float(TARGET_RATE))
-    gsr = apply_filter(gsr, notch, float(TARGET_RATE))
+    eeg = _zero_phase(sos["notch"], eeg)
+    ecg = _zero_phase(sos["notch"], ecg)
+    gsr = _zero_phase(sos["notch"], gsr)
 
     gsr = baseline_correct_gsr(gsr, float(TARGET_RATE), pre128, cfg.baseline_ms)
     return eeg[..., pre128:], ecg[..., pre128:], gsr, merge_eyes(eye)[..., pre60:]
 
 
 def preprocess_trial(trial: RawTrial, cfg: PreprocessConfig | None = None) -> PreprocessedTrial:
-    arrays = _chain(trial.eeg, trial.ecg, trial.gsr, trial.eye, trial.pre_trial_ms, cfg or PreprocessConfig())
+    cfg = cfg or PreprocessConfig()
+    arrays = _chain(trial.eeg, trial.ecg, trial.gsr, trial.eye, trial.pre_trial_ms, cfg, _design_filters(cfg))
     return PreprocessedTrial(trial.trial_id, trial.subject, trial.arousal, trial.valence, *arrays)
 
 
@@ -263,26 +281,29 @@ def worker_count(requested: int | None = None) -> int:
     return max(1, n)
 
 
-# Trials per filter pass of preprocess_dataset: one block of all trials doubled
-# peak memory, while 8 stays within a few percent of filtering trial by trial.
+# Trials per filter pass of preprocess_dataset.  The filters are designed once
+# per call, so the block size bounds memory only: one block of all trials
+# doubled peak memory, while 8 stays within a few percent of trial by trial.
 BLOCK_TRIALS = 8
 
 
 def preprocess_dataset(ds: TrialDataset, cfg: PreprocessConfig | None = None) -> SegmentSet:
-    """Preprocess and segment every trial, one filter pass per block of trials.
+    """Preprocess and segment every trial: each filter is designed once, then
+    there is one filter pass per block of trials.
 
     A block is at most ``BLOCK_TRIALS`` consecutive trials that share their
     own ``pre_trial_ms`` (never ``ds.pre_trial_ms``, which a hand-built
     dataset may not match); a trial whose value differs starts a new block.
     """
     cfg = cfg or PreprocessConfig()
+    sos = _design_filters(cfg)
     parts = []
     for pre_trial_ms, run in itertools.groupby(ds.trials, key=lambda t: t.pre_trial_ms):
         run = list(run)
         for start in range(0, len(run), BLOCK_TRIALS):
             block = run[start : start + BLOCK_TRIALS]
             stacked = (np.stack([getattr(t, name) for t in block]) for name in SEGMENT_SHAPES)
-            arrays = _chain(*stacked, pre_trial_ms, cfg)
+            arrays = _chain(*stacked, pre_trial_ms, cfg, sos)
             for i, t in enumerate(block):
                 pt = PreprocessedTrial(t.trial_id, t.subject, t.arousal, t.valence, *(a[i] for a in arrays))
                 parts.append(segment_trial(pt, cfg.segment_overlap_seconds))

@@ -1,11 +1,14 @@
 import csv
 import json
 import math
+import os
+import platform
 import shutil
 import struct
 
 import numpy as np
 import pytest
+import scipy
 
 from hyperx.cli import main
 from hyperx.dataset import load_dataset, split_segments
@@ -52,6 +55,13 @@ def test_synth_writes_loadable_dataset(raw_dir):
     ds = load_dataset(raw_dir)
     assert len(ds.trials) == 12
     assert (raw_dir / "run.json").exists()
+
+
+def test_run_json_records_the_environment(raw_dir):
+    env = json.loads((raw_dir / "run.json").read_text())["environment"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env == {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
+                   "blas": {"name": blas["name"], "version": blas["version"]}, "cpu_count": os.cpu_count()}
 
 
 def test_synth_refuses_to_overwrite(raw_dir):
@@ -192,6 +202,18 @@ def test_eval_embeds_each_test_batch_once(tmp_path, raw_dir, trained_dir, monkey
     assert len(calls) == math.ceil(n / 256)
 
 
+def test_eval_refuses_a_target_the_checkpoint_was_not_trained_on(tmp_path, raw_dir, trained_dir, capsys, monkeypatch):
+    # split_segments stratifies by target, so another target's "test" split holds training segments
+    loads = []
+    monkeypatch.setattr("hyperx.cli._load_segments_any", lambda *a: loads.append(a))
+    out = tmp_path / "eval_valence"
+    code = main(["eval", "--checkpoint", str(trained_dir / "checkpoint.h2ck"), "--data", str(raw_dir),
+                 "--out", str(out), "--target", "valence"])
+    assert code == 1
+    assert "--target valence differs from the checkpoint's trained target arousal" in capsys.readouterr().err
+    assert not loads and not out.exists()
+
+
 def test_eval_missing_checkpoint_is_data_error(tmp_path, raw_dir):
     code = main(["eval", "--checkpoint", str(tmp_path / "nope.h2ck"), "--data", str(raw_dir), "--out", str(tmp_path)])
     assert code == 2
@@ -282,7 +304,7 @@ TRAIN_FLAGS = {
     ("--no-augment",): ("train", "augment", False),
     ("--track-train-accuracy",): ("train", "track_train_accuracy", True),
 }
-EVAL_FLAGS = {("--target", "arousal"): ("train", "target", "arousal")}
+EVAL_FLAGS = {("--target", "valence"): ("train", "target", "valence")}  # the target TRAIN_FLAGS trains on
 
 
 def _resolved_with(defaults: dict, flags: dict) -> dict:
@@ -307,7 +329,7 @@ def test_config_flags_land_under_their_field_names(tmp_path, raw_dir, config_fil
     defaults = {"model": file_cfg["model"], "train": {**TrainConfig().to_dict(), **file_cfg["train"]}}
     assert {k: run[k] for k in defaults} == _resolved_with(defaults, TRAIN_FLAGS)
 
-    trained = run["train"]  # saved in the checkpoint; eval's --target overrides its target
+    trained = run["train"]  # saved in the checkpoint; eval's --target may only repeat its target
     argv = ["eval", "--checkpoint", str(out / "checkpoint.h2ck"), "--data", str(raw_dir), "--out", str(tmp_path / "e")]
     assert main([*argv, *(a for flag in EVAL_FLAGS for a in flag)]) == 0
     run = json.loads((tmp_path / "e" / "run.json").read_text())["resolved_config"]

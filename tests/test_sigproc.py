@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import hyperx.sigproc as sigproc
 from hyperx.dataset import SEGMENT_SHAPES, RawTrial, SegmentSet, SyntheticSpec, TrialDataset, generate_synthetic
 from hyperx.errors import ConfigError, InputError
 from hyperx.sigproc import (
@@ -374,15 +375,42 @@ def test_preprocess_dataset_bytes_are_golden(eleven_trials):
     assert digest.hexdigest() == SEGMENTS_GOLDEN_SHA256
 
 
-def _assert_equals_per_trial_oracle(ds):
-    got = preprocess_dataset(ds)
-    per_trial = [segment_trial(preprocess_trial(t)) for t in ds.trials]
+def _assert_equals_per_trial_oracle(ds, cfg=None):
+    got = preprocess_dataset(ds, cfg)
+    per_trial = [segment_trial(preprocess_trial(t, cfg)) for t in ds.trials]
     for name in (f.name for f in fields(SegmentSet)):
         assert np.array_equal(getattr(got, name), np.concatenate([getattr(s, name) for s in per_trial])), name
 
 
 def test_preprocess_dataset_equals_per_trial_oracle(eleven_trials):
     _assert_equals_per_trial_oracle(eleven_trials)
+
+
+def test_preprocess_dataset_designs_from_its_config(eleven_trials):
+    # every filter field off its default: a design taken from the defaults would differ
+    cfg = PreprocessConfig(eeg_band=(2.0, 40.0), ecg_band=(1.0, 40.0), gsr_lowpass_hz=50.0, notch_hz=45.0,
+                           notch_q=20.0, filter_order=3)
+    _assert_equals_per_trial_oracle(eleven_trials, cfg)
+
+
+def test_each_filter_is_designed_once_per_call(eleven_trials, monkeypatch):
+    calls = {"butter": 0, "iirnotch": 0}
+
+    def counted(name):
+        real = getattr(sigproc.sps, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(sigproc.sps, name, counted(name))
+    preprocess_dataset(eleven_trials)  # two blocks
+    assert calls == {"butter": 4, "iirnotch": 1}  # GSR low-pass, anti-alias, EEG and ECG bands; the notch
+    calls.update(butter=0, iirnotch=0)
+    preprocess_trial(eleven_trials.trials[0])
+    assert calls == {"butter": 4, "iirnotch": 1}
 
 
 def test_preprocess_dataset_uses_each_trials_own_pre_trial_ms():
