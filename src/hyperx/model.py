@@ -27,13 +27,18 @@ stage applies it to the layer's output, and a conv stage folds it into the
 convolution's weight and bias (``BatchNorm1d.fold``) and runs as one conv1d
 then ReLU, with no batch-norm pass.  No stage then couples two segments, so
 each weight is built and folded once per forward and the conv stages run
-``EVAL_CHUNK`` segments at a time: no conv intermediate is batch-sized.
+``EVAL_CHUNK`` (``tensor.SEGMENT_CHUNK``) segments at a time: no conv
+intermediate is batch-sized.
 
 Every ReLU here is ``relu_``, written into the buffer it follows: the output
 of train-mode ``batch_norm``, of eval BN's final ``add``, of an eval conv
 stage's ``conv1d`` or of a fusion ``phm_linear``.  Each is fresh, only the
 ReLU reads it, and its producer's VJP never reads it, so a stage keeps one
-activation fewer and the gradients are those of a copying ``relu``.
+activation fewer and the gradients are those of a copying ``relu``.  The one
+exception is the last conv stage in train mode, whose activation only the
+pool reads: it is one ``batch_norm_relu_pool`` node, which writes its ReLU in
+place too but keeps only a bool mask of it, so no [C, B, L] activation of that
+stage outlives the forward.
 
 Checkpoint container: magic ``H2CK``, u32 version, u32 length + canonical
 JSON config block, u32 tensor count, then per tensor: u32 name length,
@@ -55,7 +60,8 @@ from .dataset import CLASSES, SEGMENT_SHAPES
 from .errors import ConfigError, FormatError, GradientError, InputError
 from .layers import BatchNorm1d, Dropout, PHCLayer, PHMLayer
 # ``relu`` is not called here; it stays bound because perfbench/probes.py probes hyperx.model.relu
-from .tensor import Tensor, concat, global_avg_pool, relu, relu_, reshape  # noqa: F401
+from .tensor import relu  # noqa: F401
+from .tensor import SEGMENT_CHUNK, Tensor, batch_norm_relu_pool, concat, global_avg_pool, relu_, reshape
 
 __all__ = [
     "VARIANTS",
@@ -74,8 +80,8 @@ VARIANTS = ("linear", "phm", "conv", "phc")
 # their embeddings are concatenated and their parameters are stored.
 FUSION_ORDER = ("eeg", "ecg", "eye", "gsr")
 
-# Segments per pass of an eval conv encoder; 4 to 32 ran at one speed, 64 took more memory
-EVAL_CHUNK = 16
+# Segments per pass of an eval conv encoder, the chunk conv1d's VJP uses too
+EVAL_CHUNK = SEGMENT_CHUNK
 
 _MAGIC = b"H2CK"
 _VERSION = 1
@@ -200,9 +206,13 @@ class _Encoder:
                 pooled.append(global_avg_pool(h))
             return concat(pooled, axis=0)
         h = Tensor(x.data.transpose(1, 0, 2)) if self.conv else reshape(x, (x.shape[0], self.d_flat))
-        for layer, bn in self.stages:
+        for layer, bn in self.stages[:-1] if self.conv else self.stages:
             h = relu_(bn(layer(h), train))
-        return global_avg_pool(h) if self.conv else h
+        if not self.conv:
+            return h
+        # only the pooled [B, C] leaves the last train conv stage, so it is one node
+        layer, bn = self.stages[-1]
+        return batch_norm_relu_pool(layer(h), bn.gamma, bn.beta, bn.running_mean, bn.running_var)
 
     def submodules(self):
         return [(name, getattr(self, name)) for names in self.stage_names for name in names]

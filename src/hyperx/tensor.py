@@ -21,27 +21,33 @@ the model stack needs: linear, the hypercomplex product ``phm_linear`` (x
 times sum_i A_i (x) F_i, never building that weight), 1-D
 cross-correlation, Kronecker-sum weight construction (one contraction,
 ``kron_sum``, builds dense and per-tap convolution weights alike), relu,
-batch norm, dropout, pooling, concatenation and softmax cross-entropy.
-``conv1d``, the 3-D ``batch_norm`` and ``global_avg_pool`` take sequences
-channel-major, [C, B, L], so each conv op is one GEMM over the whole batch.
-``batch_norm`` and ``dropout`` are train-time ops and take no mode flag: in
-eval mode ``layers.Dropout`` is the identity and ``layers.BatchNorm1d`` applies
-its one per-channel affine map, built from ``mul`` and ``add``.
+batch norm, dropout, pooling, concatenation and softmax cross-entropy, plus
+``batch_norm_relu_pool``, the last conv stage of an encoder in train mode as
+one node.  ``conv1d``, the 3-D ``batch_norm``, ``global_avg_pool`` and
+``batch_norm_relu_pool`` take sequences channel-major, [C, B, L], so each
+conv op is one GEMM over the whole batch.  ``batch_norm``,
+``batch_norm_relu_pool`` and ``dropout`` are train-time ops and take no mode
+flag: in eval mode ``layers.Dropout`` is the identity and
+``layers.BatchNorm1d`` applies its one per-channel affine map, built from
+``mul`` and ``add``.
 
 A VJP keeps only the arrays its formula reads, and rebuilds the rest in
-backward: ``conv1d`` keeps its input (its im2col columns are rebuilt),
+backward: ``conv1d`` keeps its input (its VJP rebuilds the im2col columns
+``SEGMENT_CHUNK`` segments at a time, so no column array is batch-sized),
 ``batch_norm`` its input and the per-channel mean and 1/sigma (x-hat is
-rebuilt), and ``relu`` its output.  An op's input array must
-therefore not be written between the forward and the backward; ``linear``
-relies on this as well.  ``relu_`` is the one op that writes its input: it
-puts relu(x) into x's buffer, so a ReLU after batch norm costs no array of
-its own.  That is sound only where x is a fresh op output that nothing else
-reads and whose producer's VJP does not read that output: ``batch_norm``
-rebuilds x-hat from its input, and ``conv1d``, ``linear``, ``phm_linear``
-and ``add`` keep only inputs or shapes.  ``relu`` copies, for leaves and
-user arrays.  ``linear``, ``phm_linear``, ``conv1d`` and ``batch_norm``
-compute the gradient of x only if x requires grad, since x can be model
-data.
+rebuilt), ``relu`` its output, ``batch_norm_relu_pool`` what ``batch_norm``
+keeps plus a bool mask of where the ReLU passed (its [C, B, L] activation is
+freed once pooled) and ``dropout`` its bool keep mask.  An op's input array
+must therefore not be written between the forward and the backward;
+``linear`` relies on this as well.  ``relu_`` is the one op that writes its
+input: it puts relu(x) into x's buffer, so a ReLU after batch norm costs no
+array of its own.  That is sound only where x is a fresh op output that
+nothing else reads and whose producer's VJP does not read that output:
+``batch_norm`` rebuilds x-hat from its input, and ``conv1d``, ``linear``,
+``phm_linear`` and ``add`` keep only inputs or shapes.  ``relu`` copies, for
+leaves and user arrays.  ``linear``, ``phm_linear``, ``conv1d``,
+``batch_norm`` and ``batch_norm_relu_pool`` compute the gradient of x only if
+x requires grad, since x can be model data.
 """
 
 from __future__ import annotations
@@ -72,9 +78,11 @@ __all__ = [
     "tensor_sum",
     "global_avg_pool",
     "conv1d",
+    "SEGMENT_CHUNK",
     "linear",
     "phm_linear",
     "batch_norm",
+    "batch_norm_relu_pool",
     "BN_EPS",
     "dropout",
     "softmax_cross_entropy",
@@ -394,9 +402,16 @@ def phm_linear(x: Tensor, a: Tensor, f: Tensor, b: Tensor | None = None) -> Tens
     return _make_output(y, (x, a, f) if b is None else (x, a, f, b), vjp)
 
 
+# Segments per chunk of conv1d's VJP and of an eval conv encoder's forward
+# (``model._Encoder``).  In each, 8 to 32 ran at one speed and a whole batch of
+# 64 took more memory and no less time
+SEGMENT_CHUNK = 16
+
+
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
     """1-D cross-correlation of channel-major x [Cin, B, L] with [Cout, Cin, K]
-    kernels -> [Cout, B, Lout], one GEMM over the whole batch.
+    kernels -> [Cout, B, Lout], one GEMM over the whole batch.  The VJP runs
+    ``SEGMENT_CHUNK`` segments at a time.
 
     Output length is floor((L + 2*padding - K) / stride) + 1.
     """
@@ -414,32 +429,37 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
     Lout = (Lp - K) // stride + 1
     xd = x.data
 
-    def im2col():
-        # cols[(c, k), (b, l)] = xp[c, b, l*stride + k]: one copy of a strided
-        # window view of the padded input xp
-        xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding)))
+    def im2col(b0, b1):
+        # cols[(c, k), (b, l)] = xp[c, b, l*stride + k] for segments b0:b1: one
+        # copy of a strided window view of their padded input xp
+        xp = np.pad(xd[:, b0:b1], ((0, 0), (0, 0), (padding, padding)))
         windows = np.lib.stride_tricks.sliding_window_view(xp, K, axis=2)[:, :, ::stride]
-        return windows.transpose(0, 3, 1, 2).reshape(Cin * K, B * Lout)
+        return windows.transpose(0, 3, 1, 2).reshape(Cin * K, (b1 - b0) * Lout)
 
     wr = w.data.reshape(Cout, Cin * K)
-    y = (wr @ im2col()).reshape(Cout, B, Lout)
+    y = (wr @ im2col(0, B)).reshape(Cout, B, Lout)
     x_grad = x.requires_grad
-
-    def vjp_x(g):
-        # dcols comes out as [Cin, K, B, Lout], so each tap scatters one strided slice
-        dcols = (wr.T @ g.reshape(Cout, B * Lout)).reshape(Cin, K, B, Lout)
-        dxp = np.zeros((Cin, B, Lp))
-        span = stride * (Lout - 1) + 1
-        for k in range(K):
-            dxp[:, :, k : k + span : stride] += dcols[:, k]
-        return dxp[:, :, padding : padding + L]
 
     def vjp(g):
         # the columns are rebuilt so that the tape keeps x, not columns K/stride
-        # times its size; dw comes first, so they and their padded copy of x
-        # are freed before dcols and dxp exist
-        dw = (g.reshape(Cout, B * Lout) @ im2col().T).reshape(Cout, Cin, K)
-        dx = vjp_x(g) if x_grad else None
+        # times its size, and SEGMENT_CHUNK segments at a time, so that neither
+        # they nor their gradient is batch-sized; each chunk's columns are freed
+        # before its column gradient exists
+        dw = None
+        dxp = np.zeros((Cin, B, Lp)) if x_grad else None
+        span = stride * (Lout - 1) + 1
+        for b0 in range(0, B or 1, SEGMENT_CHUNK):  # an empty batch is one empty chunk
+            b1 = min(b0 + SEGMENT_CHUNK, B)
+            g_c = g[:, b0:b1].reshape(Cout, (b1 - b0) * Lout)  # a view of a contiguous g
+            dw_c = g_c @ im2col(b0, b1).T
+            dw = dw_c if dw is None else dw + dw_c
+            if x_grad:
+                # dcols comes out as [Cin, K, b, Lout], so each tap scatters one strided slice
+                dcols = (wr.T @ g_c).reshape(Cin, K, b1 - b0, Lout)
+                for k in range(K):
+                    dxp[:, b0:b1, k : k + span : stride] += dcols[:, k]
+        dx = dxp[:, :, padding : padding + L] if x_grad else None
+        dw = dw.reshape(Cout, Cin, K)
         return (dx, dw) if b is None else (dx, dw, g.sum(axis=(1, 2)))
 
     if b is not None:
@@ -463,6 +483,39 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     buffers in place (running = 0.9*running + 0.1*batch).  Eval-mode batch norm
     is not an op: it is ``layers.BatchNorm1d``'s per-channel affine map.
     """
+    y, vjp = _batch_norm(x, gamma, beta, running_mean, running_var)
+    return _make_output(y, (x, gamma, beta), vjp)
+
+
+def batch_norm_relu_pool(
+    x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray, running_var: np.ndarray
+) -> Tensor:
+    """``global_avg_pool(relu_(batch_norm(x, ...)))`` of channel-major x
+    [C, B, L] as one node -> [B, C], with the same outputs, running buffers and
+    gradients bit for bit.
+
+    The node keeps what batch norm's VJP reads and a bool mask of where the
+    ReLU passed, not the [C, B, L] activation, which is freed once pooled (as
+    In-Place Activated BatchNorm, Rota Bulò et al., CVPR 2018, drops it).
+    """
+    if x.data.ndim != 3:
+        raise InputError(f"batch_norm_relu_pool needs [C, B, L], got shape {x.data.shape}")
+    y, bn_vjp = _batch_norm(x, gamma, beta, running_mean, running_var)
+    np.maximum(y, 0.0, out=y)
+    passed = y > 0
+    sy = y.shape
+    data = y.mean(axis=2).T
+
+    def vjp(g):
+        # global_avg_pool's VJP, then relu's mask, then batch norm's: the
+        # numpy ops of the three separate nodes, in their order
+        return bn_vjp(np.broadcast_to(g.T[:, :, None] / sy[2], sy) * passed)
+
+    return _make_output(data, (x, gamma, beta), vjp)
+
+
+def _batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray, running_var: np.ndarray):
+    """``batch_norm``'s output array and its VJP, for the two ops that record them."""
     nd = x.data.ndim
     if nd == 2:
         axes, shape_c, sub = (0,), (1, -1), "bc,bc->c"
@@ -507,7 +560,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         dx *= scale
         return dx, sgx, sg
 
-    return _make_output(y, (x, gamma, beta), vjp)
+    return y, vjp
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
@@ -519,9 +572,9 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
         return x
     if rng is None:
         raise ConfigError("dropout needs an explicit rng")
+    # the node keeps the bool mask, and its VJP rebuilds the float factor from it
     keep = rng.random(x.data.shape) >= p
-    factor = keep / (1.0 - p)
-    return _make_output(x.data * factor, (x,), lambda g: (g * factor,))
+    return _make_output(x.data * (keep / (1.0 - p)), (x,), lambda g: (g * (keep / (1.0 - p)),))
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:

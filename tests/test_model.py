@@ -306,11 +306,13 @@ def test_eval_forward_holds_no_batch_sized_conv_intermediate():
 
 def test_train_step_keeps_one_copy_of_each_conv_stage_activation():
     """tracemalloc peak of one train forward and backward of the default phc
-    model at B=16: about 67 MB when conv1d keeps only its input, batch norm
-    its input and statistics, ReLU writes into batch norm's output and
-    backward frees each node once used; 91 MB when backward keeps the tape
-    until it returns, 114 MB when ReLU also copies, and 166 MB when the tape
-    also keeps each conv's im2col columns and batch norm's x-hat."""
+    model at B=16: about 64 MB when conv1d keeps only its input, batch norm
+    its input and statistics, ReLU writes into batch norm's output, each
+    encoder's last stage keeps a ReLU mask in place of its activation and
+    backward frees each node once used; 67 MB when the last stage keeps its
+    activation, 91 MB when backward also keeps the tape until it returns,
+    114 MB when ReLU also copies, and 166 MB when the tape also keeps each
+    conv's im2col columns and batch norm's x-hat."""
     model = H2Model(seed=0)
     batch = random_batch(np.random.default_rng(0), batch=16)
     labels = np.arange(16) % 3
@@ -327,8 +329,10 @@ def test_train_step_keeps_one_copy_of_each_conv_stage_activation():
 
 def test_train_step_keeps_no_separate_relu_output_per_stage():
     """The default phc model at B=16: ReLU writes into the buffer batch norm
-    (or a fusion PHM layer) returned, so a train forward ends holding about
-    53 MB, against 76 MB when each ReLU copies."""
+    (or a fusion PHM layer) returned, and each conv encoder's last stage keeps
+    a ReLU mask in place of its activation, so a train forward ends holding
+    about 40 MB, against 53 MB when that stage keeps its activation and 76 MB
+    when each ReLU also copies."""
     model = H2Model(seed=0)
     batch = random_batch(np.random.default_rng(0), batch=16)
     labels = np.arange(16) % 3
@@ -348,8 +352,9 @@ def test_train_step_keeps_no_separate_relu_output_per_stage():
 def test_train_backward_frees_each_node_once_its_vjp_has_run():
     """The default phc model at B=16: backward pops every node off the tape as
     it reaches it, so each stage's activations and saved inputs go once its
-    VJP has run.  Forward and backward peak at about 67 MB, against 91 MB
-    when the tape holds every node until the step ends."""
+    VJP has run.  Forward and backward peak at about 64 MB, against 91 MB
+    when the tape holds every node until the step ends (67 and 91 MB when
+    each encoder's last stage keeps its activation)."""
     model = H2Model(seed=0)
     batch = random_batch(np.random.default_rng(0), batch=16)
     labels = np.arange(16) % 3
@@ -363,6 +368,29 @@ def test_train_backward_frees_each_node_once_its_vjp_has_run():
         tracemalloc.stop()
     assert len(tape) == 0
     assert peak < 75e6, f"{peak / 1e6:.0f} MB peak"
+
+
+def test_train_step_at_b64_keeps_no_batch_sized_last_stage_activation_or_columns():
+    """The default phc model at B=64: each conv encoder's last train stage is
+    one node that keeps a ReLU mask, not its [C, B, L] activation, and conv1d's
+    VJP rebuilds its im2col columns SEGMENT_CHUNK segments at a time.  The tape
+    holds about 155 MB after the forward and the step peaks at about 185 MB,
+    against 210 and 226 MB when the last stage keeps its activation and the
+    VJP rebuilds the whole batch's columns."""
+    model = H2Model(seed=0)
+    batch = random_batch(np.random.default_rng(0), batch=64)
+    labels = np.arange(64) % 3
+    tracemalloc.start()
+    try:
+        with tape_scope():
+            logits = model.forward(**batch, train=True, rng=np.random.default_rng(1))
+            held = tracemalloc.get_traced_memory()[0]
+            backward(softmax_cross_entropy(logits, labels))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held < 180e6, f"{held / 1e6:.0f} MB held after the forward"
+    assert peak < 200e6, f"{peak / 1e6:.0f} MB peak"
 
 
 def test_first_layer_of_each_encoder_computes_no_gradient_for_the_model_input():

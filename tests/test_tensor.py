@@ -15,7 +15,9 @@ from hyperx.tensor import (
     _make_output,
     add,
     backward,
+    SEGMENT_CHUNK,
     batch_norm,
+    batch_norm_relu_pool,
     concat,
     conv1d,
     dropout,
@@ -289,9 +291,29 @@ def conv_geometries(draw):
 ENCODER_GEOMETRY = dict(batch=2, c_in=4, c_out=3, length=19, k=7, stride=2, padding=3, seed=0)
 
 
+def conv_vjp_one_gemm(x, w, g, stride, padding):
+    """conv1d's (dx, dw) for channel-major x [Cin, B, L] and upstream g
+    [Cout, B, Lout], each from one GEMM over the whole batch's im2col columns."""
+    Cin, B, L = x.shape
+    Cout, _, K = w.shape
+    Lout = g.shape[2]
+    span = stride * (Lout - 1) + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+    cols = np.stack([xp[:, :, k : k + span : stride] for k in range(K)], axis=1).reshape(Cin * K, B * Lout)
+    g2 = g.reshape(Cout, B * Lout)
+    dcols = (w.reshape(Cout, Cin * K).T @ g2).reshape(Cin, K, B, Lout)
+    dxp = np.zeros_like(xp)
+    for k in range(K):
+        dxp[:, :, k : k + span : stride] += dcols[:, k]
+    return dxp[:, :, padding : padding + L], (g2 @ cols.T).reshape(w.shape)
+
+
 @settings(max_examples=25, deadline=None)
 @given(conv_geometries())
 @example(ENCODER_GEOMETRY)
+# past one VJP chunk: a full second chunk and a one-segment third
+@example({**ENCODER_GEOMETRY, "batch": SEGMENT_CHUNK + 1, "seed": 1})
+@example(dict(batch=2 * SEGMENT_CHUNK + 1, c_in=3, c_out=2, length=9, k=3, stride=1, padding=1, seed=2))
 def test_conv1d_property_forward_and_vjps(geom):
     rng = np.random.default_rng(geom["seed"])
     x = Tensor(swap_bc(rng.standard_normal((geom["batch"], geom["c_in"], geom["length"]))), requires_grad=True)
@@ -302,6 +324,13 @@ def test_conv1d_property_forward_and_vjps(geom):
     np.testing.assert_allclose(swap_bc(y), conv_loop_oracle(swap_bc(x.data), w.data, b.data, stride, padding), atol=1e-12)
     # a random upstream array, so every output element weighs differently
     g = Tensor(rng.standard_normal(y.shape))
+    with tape_scope() as tape:
+        conv1d(x, w, b, stride=stride, padding=padding)
+        dx, dw, db = tape.nodes[0].vjp(g.data)
+    want_dx, want_dw = conv_vjp_one_gemm(x.data, w.data, g.data, stride, padding)
+    np.testing.assert_allclose(dx, want_dx, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dw, want_dw, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(db, g.data.sum(axis=(1, 2)), rtol=0, atol=1e-12)
 
     def f(_t):
         return tensor_sum(mul(conv1d(x, w, b, stride=stride, padding=padding), g))
@@ -614,6 +643,85 @@ def test_batch_norm_reads_the_batch_size_of_channel_major_input_from_axis_1():
 
 
 # ---------------------------------------------------------------------------
+# fused batch norm -> ReLU -> pool
+# ---------------------------------------------------------------------------
+
+
+def _bn_relu_pool_run(fused, x_data, gamma_data, beta_data, g, x_grad):
+    """Output, running buffers and (x, gamma, beta) gradients of one forward
+    and backward of the fused op or of the three ops it stands for."""
+    x = Tensor(x_data, requires_grad=x_grad)
+    gamma, beta = Tensor(gamma_data, requires_grad=True), Tensor(beta_data, requires_grad=True)
+    rm, rv = np.full(len(gamma_data), 0.5), np.full(len(gamma_data), 2.0)
+    with tape_scope():
+        h = mul(x, Tensor(1.0))  # an op output, as a conv stage's is
+        if fused:
+            y = batch_norm_relu_pool(h, gamma, beta, rm, rv)
+        else:
+            y = global_avg_pool(relu_(batch_norm(h, gamma, beta, rm, rv)))
+        backward(tensor_sum(mul(y, Tensor(g))))
+    return [y.data, rm, rv, x.grad, gamma.grad, beta.grad]
+
+
+@pytest.mark.parametrize("x_grad", [True, False])
+def test_batch_norm_relu_pool_is_the_three_ops_bit_for_bit(x_grad):
+    rng = np.random.default_rng(22)
+    C, B, L = 5, 7, 11
+    x_data = 2.0 + rng.standard_normal((C, B, L))
+    gamma_data = rng.standard_normal(C)
+    gamma_data[:2] = [-1.5, -0.3]  # a negative gamma flips which side of the mean passes the ReLU
+    beta_data = rng.standard_normal(C)
+    g = rng.standard_normal((B, C))
+    want = _bn_relu_pool_run(False, x_data, gamma_data, beta_data, g, x_grad)
+    got = _bn_relu_pool_run(True, x_data, gamma_data, beta_data, g, x_grad)
+    assert got[0].shape == (B, C)
+    assert (got[3] is None) == (not x_grad)
+    for a, b in zip(got, want):
+        assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
+def test_batch_norm_relu_pool_grad_check():
+    rng = np.random.default_rng(23)
+    C, B, L = 3, 4, 6
+    x = Tensor(rng.standard_normal((C, B, L)), requires_grad=True)
+    gamma = Tensor(np.array([1.2, -0.7, 0.4]), requires_grad=True)
+    beta = Tensor(rng.standard_normal(C), requires_grad=True)
+    g = Tensor(rng.standard_normal((B, C)))
+
+    def f(_t):
+        return tensor_sum(mul(batch_norm_relu_pool(x, gamma, beta, np.zeros(C), np.ones(C)), g))
+
+    for target in (x, gamma, beta):
+        report = grad_check(f, target, tol=1e-6, max_probes=64)
+        assert report.passed, (target.shape, report)
+
+
+def test_batch_norm_relu_pool_keeps_a_mask_not_the_activation():
+    """After the forward, the node holds batch norm's per-channel arrays and a
+    bool mask, well under the [C, B, L] activation the three ops keep."""
+    rng = np.random.default_rng(24)
+    C, B, L = 8, 16, 1000
+    x = Tensor(rng.standard_normal((C, B, L)), requires_grad=True)
+    gamma, beta, rm, rv = _bn_parts(C)
+    with tape_scope():
+        tracemalloc.start()
+        try:
+            y = batch_norm_relu_pool(x, gamma, beta, rm, rv)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        backward(tensor_sum(y))
+    assert held < x.data.nbytes / 4, held / x.data.nbytes
+    assert x.grad.shape == x.shape
+
+
+def test_batch_norm_relu_pool_rejects_a_flat_input():
+    gamma, beta, rm, rv = _bn_parts(3)
+    with pytest.raises(InputError, match=r"\[C, B, L\].*\(4, 3\)"):
+        batch_norm_relu_pool(Tensor(np.zeros((4, 3))), gamma, beta, rm, rv)
+
+
+# ---------------------------------------------------------------------------
 # dropout
 # ---------------------------------------------------------------------------
 
@@ -631,6 +739,28 @@ def test_dropout_fixed_seed_is_deterministic():
     np.testing.assert_array_equal(a, b)
     kept = a[a != 0]
     np.testing.assert_allclose(kept, 2.0)
+
+
+def test_dropout_keeps_a_bool_mask_and_scales_the_gradient_by_it():
+    """The node holds the bool keep mask, an eighth of x's size, and its VJP
+    rebuilds keep / (1 - p) from it."""
+    rng = np.random.default_rng(25)
+    x = Tensor(rng.standard_normal((100, 1000)), requires_grad=True)
+    g = rng.standard_normal(x.shape)
+    with tape_scope() as tape:
+        tracemalloc.start()
+        try:
+            y = dropout(mul(x, Tensor(1.0)), 0.25, np.random.default_rng(26))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        node = tape.nodes[-1]
+        (dx,) = node.vjp(g)
+    # the mul output and the dropout output, plus the mask
+    assert held < 2.25 * x.data.nbytes, held / x.data.nbytes
+    keep = np.random.default_rng(26).random(x.shape) >= 0.25
+    assert y.data.tobytes() == (x.data * (keep / 0.75)).tobytes()
+    assert dx.tobytes() == (g * (keep / 0.75)).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -791,6 +921,12 @@ OP_CALLS = [
         "batch_norm-train",
         lambda r, xg: batch_norm(_leaf(r, 3, 4, 5, grad=xg), _leaf(r, 3), _leaf(r, 3), np.zeros(3), np.ones(3)),
     ),
+    (
+        "batch_norm_relu_pool",
+        lambda r, xg: batch_norm_relu_pool(
+            _leaf(r, 3, 4, 5, grad=xg), _leaf(r, 3), _leaf(r, 3), np.zeros(3), np.ones(3)
+        ),
+    ),
     ("dropout", lambda r, xg: dropout(_leaf(r, 4, 3, grad=xg), 0.5, r)),
     ("softmax_cross_entropy", lambda r, xg: softmax_cross_entropy(_leaf(r, 4, 3, grad=xg), [0, 1, 2, 0])),
     ("kron_sum", lambda r, xg: kron_sum(_leaf(r, 2, 2, 2, grad=xg), _leaf(r, 2, 3, 3))),
@@ -798,7 +934,7 @@ OP_CALLS = [
 ]
 NOT_OPS = {
     "Tensor", "Tape", "active_tape", "tape_scope", "no_grad", "backward", "zero_grads",
-    "BN_EPS", "grad_check", "GradCheckReport",
+    "BN_EPS", "SEGMENT_CHUNK", "grad_check", "GradCheckReport",
 }
 
 
@@ -840,7 +976,11 @@ def test_every_op_gives_one_gradient_per_input(call):
     assert [g.shape for g in grads] == [t.shape for t in node.inputs]
 
 
-X_MAY_BE_DATA = [c for c in OP_CALLS if c[0].split("-")[0] in ("linear", "phm_linear", "conv1d", "batch_norm")]
+X_MAY_BE_DATA = [
+    c
+    for c in OP_CALLS
+    if c[0].split("-")[0] in ("linear", "phm_linear", "conv1d", "batch_norm", "batch_norm_relu_pool")
+]
 
 
 @pytest.mark.parametrize("call", [call for _, call in X_MAY_BE_DATA], ids=[case for case, _ in X_MAY_BE_DATA])
